@@ -17,6 +17,8 @@ from mcfnet.evidence import (
     pairwise_conflict,
     combine,
     discount_by_voltage,
+    CommonalityTable,
+    commonality_table,
 )
 from mcfnet.conflict import (
     ConflictMatrix,
@@ -45,6 +47,7 @@ from mcfnet.counts import (
     PriorSpec,
     CountState,
     cluster_existence,
+    existence_supports,
     at_least_distribution,
     posterior_counts,
     gradual_determination,
@@ -70,13 +73,14 @@ __all__ = [
     "Frame", "FocalSet", "SimpleSupport", "MassFunction",
     "FrameMismatchError", "TotalConflictError",
     "pairwise_conflict", "combine", "discount_by_voltage",
+    "CommonalityTable", "commonality_table",
     "ConflictMatrix", "Partition", "McfReport",
     "conflict_matrix", "conflict_weight", "cluster_conflict",
     "metaconflict", "evaluate_partition", "refine_partition",
     "HyperParams", "NetworkState", "DegenerateStartError",
     "init_state", "output_voltage", "step", "entropy",
     "has_converged", "is_crisp", "extract_partition",
-    "PriorSpec", "CountState", "cluster_existence",
+    "PriorSpec", "CountState", "cluster_existence", "existence_supports",
     "at_least_distribution", "posterior_counts",
     "gradual_determination", "compute_count_state",
     "ProblemSpec", "generate", "canonical_partition",

@@ -1,7 +1,8 @@
 """From the voltage grid to a posterior over the number of clusters.
 
 Pipeline per iteration: discount every piece of evidence by its column
-voltage and combine (cluster-existence support), regroup the per-cluster
+voltage and combine (cluster-existence support, every column at once from
+a commonality table built once per run), regroup the per-cluster
 supports by how many clusters exist at once (a Poisson-binomial style
 convolution), combine the result with a geometric prior over the count,
 and anneal the posterior toward a one-hot at its argmax as the network's
@@ -16,18 +17,17 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from mcfnet.evidence import (
+    ONE_MINUS_K_FLOOR,
+    CommonalityTable,
     SimpleSupport,
     TotalConflictError,
     combine,
+    commonality_table,
     discount_by_voltage,
 )
 from mcfnet.network import NetworkState
 
 TOTAL_CONFLICT_FLOOR = 1e-12
-
-# Incremented by compute_count_state; lets the harness tests assert that the
-# fixed-count mode never consults this module.
-COMPUTE_CALLS = 0
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,8 @@ def cluster_existence(
     by its column voltage; support = 1 - theta.  A totally conflicting
     combination means the cluster's evidence supports nothing coherent: it
     is flagged meaningless with support 1.
+
+    This is the single-column reference for existence_supports.
     """
     if len(v_column) != len(evidence):
         raise ValueError("one voltage per piece of evidence required")
@@ -99,6 +101,23 @@ def cluster_existence(
         return ExistenceResult(support=1.0, theta=0.0, meaningless=True)
     theta = combined.theta_mass
     return ExistenceResult(support=1.0 - theta, theta=theta, meaningless=False)
+
+
+def existence_supports(
+    table: CommonalityTable, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cluster_existence for every column of the voltage grid v at once.
+
+    Returns (supports, thetas, meaningless) per column.  A column whose
+    1 - k falls below the floor combine uses is meaningless: support 1,
+    theta 0.
+    """
+    one_minus_k, q_theta = table.combine_discounted(v)
+    meaningless = one_minus_k < ONE_MINUS_K_FLOOR
+    ratio = q_theta / np.where(meaningless, 1.0, one_minus_k)
+    thetas = np.where(meaningless, 0.0, np.minimum(ratio, 1.0))
+    supports = np.where(meaningless, 1.0, 1.0 - thetas)
+    return supports, thetas, meaningless
 
 
 def at_least_distribution(
@@ -168,27 +187,27 @@ def compute_count_state(
     state: NetworkState,
     prior: PriorSpec,
     alpha: float,
+    table: CommonalityTable | None = None,
 ) -> CountState:
-    """Chain existence -> at-least -> posterior -> gradual determination."""
-    global COMPUTE_CALLS
-    COMPUTE_CALLS += 1
+    """Chain existence -> at-least -> posterior -> gradual determination.
+
+    table is commonality_table(evidence), built here when not given; a run
+    builds it once and passes it to every call.
+    """
     if prior.r_max != state.cols:
         raise ValueError("prior r_max must equal the column count")
     if len(evidence) != state.rows:
         raise ValueError("evidence count must equal the row count")
-    results = [
-        cluster_existence(evidence, state.v[:, n]) for n in range(state.cols)
-    ]
-    supports = np.array([r.support for r in results])
-    thetas = np.array([r.theta for r in results])
-    flags = tuple(r.meaningless for r in results)
+    if table is None:
+        table = commonality_table(evidence)
+    supports, thetas, meaningless = existence_supports(table, state.v)
     at_least, theta_mass = at_least_distribution(supports)
     posterior, c0 = posterior_counts(at_least, theta_mass, prior)
     gd = gradual_determination(posterior, alpha)
     return CountState(
         supports=supports,
         thetas=thetas,
-        meaningless=flags,
+        meaningless=tuple(meaningless.tolist()),
         at_least=at_least,
         theta_mass=theta_mass,
         posterior=posterior,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -26,7 +26,7 @@ from mcfnet.conflict import (
     refine_partition,
 )
 from mcfnet.counts import CountState, PriorSpec, compute_count_state
-from mcfnet.evidence import SimpleSupport
+from mcfnet.evidence import SimpleSupport, commonality_table
 from mcfnet.network import (
     HyperParams,
     entropy,
@@ -157,6 +157,7 @@ def run(
 
     tracing = config.trace_dir is not None
     weights = conflict_matrix(evidence)
+    table = commonality_table(evidence) if unknown else None
     masses = np.array([e.mass for e in evidence])
     state = init_state(n, r_cols, params, noise_rng)
 
@@ -167,7 +168,7 @@ def run(
     while True:
         raw, alpha = entropy(state)
         if unknown:
-            count_state = compute_count_state(evidence, state, prior, alpha)
+            count_state = compute_count_state(evidence, state, prior, alpha, table)
         if tracing and config.trace_scalars:
             trace_rows.append(
                 _trace_row(state.t, raw, alpha, evidence,
@@ -320,18 +321,7 @@ def batch(
     runs: list[dict] = []
     failures: list[dict] = []
     for mode in MODES:
-        mode_config = RunConfig(
-            problem=config.problem,
-            params=config.params,
-            prior=config.prior,
-            mode=mode,
-            fixed_k=config.fixed_k,
-            columns=config.columns,
-            trace_dir=config.trace_dir,
-            trace_scalars=config.trace_scalars,
-            snapshot_every=config.snapshot_every,
-            refine=config.refine,
-        )
+        mode_config = replace(config, mode=mode)
         for seed in seeds:
             try:
                 result = run(mode_config, seed=seed)

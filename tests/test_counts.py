@@ -7,17 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mcfnet.counts as counts
+import mcfnet.harness as harness
 from mcfnet.counts import (
     CountState,
     PriorSpec,
     at_least_distribution,
     cluster_existence,
     compute_count_state,
+    existence_supports,
     gradual_determination,
     posterior_counts,
 )
-from mcfnet.evidence import FocalSet, Frame, SimpleSupport
+from mcfnet.evidence import FocalSet, Frame, SimpleSupport, commonality_table
+from mcfnet.harness import RunConfig, run
 from mcfnet.network import HyperParams, NetworkState, init_state, output_voltage
 from mcfnet.problems import ProblemSpec, generate
 from tests.conftest import brute_force_at_least
@@ -75,6 +77,81 @@ class TestClusterExistence:
         f = Frame(2)
         with pytest.raises(ValueError):
             cluster_existence([ssf(f, [1], 0.5)], [0.5, 0.5])
+
+
+MASSES = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
+VOLTAGES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def voltage_grids(draw, max_frame=8, max_evidence=8):
+    """Evidence with repeated and whole-frame focal sets, and a voltage grid."""
+    frame = Frame(draw(st.integers(1, max_frame)))
+    focal = st.one_of(st.just(frame.full_mask), st.integers(1, frame.full_mask))
+    pool = draw(st.lists(focal, min_size=1, max_size=4))
+    bits = draw(st.lists(st.one_of(focal, st.sampled_from(pool)),
+                         min_size=1, max_size=max_evidence))
+    evidence = [SimpleSupport(FocalSet(b, frame), draw(MASSES), id=j)
+                for j, b in enumerate(bits)]
+    cols = draw(st.integers(1, 3))
+    v = np.array([[draw(VOLTAGES) for _ in range(cols)] for _ in evidence])
+    return evidence, v
+
+
+def assert_columns_match_reference(evidence, v):
+    supports, thetas, meaningless = existence_supports(commonality_table(evidence), v)
+    for c in range(v.shape[1]):
+        reference = cluster_existence(evidence, v[:, c])
+        assert bool(meaningless[c]) == reference.meaningless
+        assert abs(supports[c] - reference.support) <= 1e-12
+        assert abs(thetas[c] - reference.theta) <= 1e-12
+
+
+class TestExistenceSupports:
+    @given(voltage_grids())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_cluster_existence(self, case):
+        assert_columns_match_reference(*case)
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_matches_cluster_existence_on_planted_frame_12(self, seed):
+        # Four anchors, each with its singleton and seven supersets made
+        # from one or two of the other eight elements.
+        rng = np.random.default_rng(seed)
+        frame = Frame(12)
+        anchors = rng.choice(12, 4, replace=False)
+        others = [e for e in range(12) if e not in anchors]
+        bits = []
+        for a in anchors:
+            chosen = {1 << int(a)}
+            while len(chosen) < 8:
+                extra = rng.choice(others, int(rng.integers(1, 3)), replace=False)
+                chosen.add((1 << int(a)) | sum(1 << int(e) for e in extra))
+            bits.extend(sorted(chosen))
+        evidence = [SimpleSupport(FocalSet(b, frame), float(rng.uniform(0.05, 0.95)))
+                    for b in bits]
+        v = rng.uniform(0.0, 1.0, size=(len(evidence), 6))
+        v[rng.random(v.shape) < 0.2] = 1.0
+        v[rng.random(v.shape) < 0.2] = 0.0
+        assert_columns_match_reference(evidence, v)
+
+    def test_total_conflict_is_meaningless_in_both(self):
+        f = Frame(2)
+        evidence = [ssf(f, [1], 1.0), ssf(f, [2], 1.0)]
+        v = np.array([[1.0, 1.0, 0.5], [1.0, 0.0, 1.0]])
+        supports, thetas, meaningless = existence_supports(commonality_table(evidence), v)
+        assert meaningless.tolist() == [True, False, False]
+        assert supports[0] == 1.0 and thetas[0] == 0.0
+        assert_columns_match_reference(evidence, v)
+
+    def test_dark_column_is_exact(self, problem):
+        v = np.zeros((31, 2))
+        v[:, 1] = 0.5
+        supports, thetas, meaningless = existence_supports(commonality_table(problem), v)
+        assert supports[0] == 0.0
+        assert thetas[0] == 1.0
+        assert not meaningless[0]
 
 
 class TestAtLeastDistribution:
@@ -224,8 +301,16 @@ class TestComputeCountState:
         with pytest.raises(ValueError):
             compute_count_state(problem[:30], state, PriorSpec(r_max=6), 1.0)
 
-    def test_instrumentation_counter_increments(self, problem):
-        state = init_state(31, 6, HyperParams(), np.random.default_rng(0))
-        before = counts.COMPUTE_CALLS
-        compute_count_state(problem, state, PriorSpec(r_max=6), 1.0)
-        assert counts.COMPUTE_CALLS == before + 1
+    def test_run_passes_one_table_to_every_call(self, monkeypatch):
+        tables = []
+        original = harness.compute_count_state
+
+        def recording(evidence, state, prior, alpha, table=None):
+            tables.append(table)
+            return original(evidence, state, prior, alpha, table)
+
+        monkeypatch.setattr(harness, "compute_count_state", recording)
+        result = run(RunConfig(params=HyperParams(max_iterations=5)), seed=0)
+        assert len(tables) == result.iterations + 1
+        assert tables[0] is not None
+        assert all(t is tables[0] for t in tables)

@@ -17,6 +17,7 @@ from mcfnet.evidence import (
     SimpleSupport,
     TotalConflictError,
     combine,
+    commonality_table,
     discount_by_voltage,
     pairwise_conflict,
 )
@@ -234,6 +235,85 @@ class TestCombine:
         combined, k = combine([e.to_mass() for e in ssfs])
         expected = math.prod(e.to_mass().theta_mass for e in ssfs) / (1.0 - k)
         assert combined.theta_mass == pytest.approx(expected, abs=1e-9)
+
+
+# One cluster of a 63-piece problem over a 6-element frame.  All focal sets
+# but the last hold element 3, so the fold keeps many tiny masses until the
+# last body conflicts with nearly all of them.
+SHARED_ELEMENT_CLUSTER = [
+    (4, 0.7238790195960068), (5, 0.7230526355336313), (12, 0.628609119670852),
+    (13, 0.5399890240341108), (14, 0.2787222087900255), (15, 0.827366855496952),
+    (20, 0.40760920666555933), (21, 0.9331816584130839), (22, 0.31362704184816703),
+    (23, 0.41047200580976395), (28, 0.6989653188245065), (29, 0.40139674172254347),
+    (30, 0.9568845302518), (31, 0.21704098167781039), (36, 0.8709774241843848),
+    (37, 0.5366106241312232), (39, 0.677958071234802), (44, 0.8297817121056082),
+    (52, 0.38931233534503806), (55, 0.9892518225349255), (56, 0.9992470960185155),
+]
+
+
+class TestCombineExactness:
+    def test_pruned_fold_still_sums_to_one(self):
+        # The folded masses once summed to 1 - 1.2e-9, and MassFunction raised.
+        frame = Frame(6)
+        evidence = [SimpleSupport(FocalSet(b, frame), m) for b, m in SHARED_ELEMENT_CLUSTER]
+        combined, k = combine([e.to_mass() for e in evidence])
+        assert sum(m for _, m in combined.bit_items()) == pytest.approx(1.0, abs=1e-12)
+        one_minus_k, q_theta = commonality_table(evidence).combine_discounted(
+            np.ones((len(evidence), 1))
+        )
+        assert 1.0 - k == pytest.approx(one_minus_k[0], rel=1e-9)
+        assert combined.theta_mass == pytest.approx(q_theta[0] / one_minus_k[0], rel=1e-9)
+
+    def test_keeps_tiny_masses(self):
+        # Masses at or below 1e-12 were once dropped, so combine parted from
+        # the exact combination by the dropped total.
+        f = Frame(2)
+        combined, k = combine([ssf(f, [1], 1e-12).to_mass(), ssf(f, [1], 1e-12).to_mass()])
+        assert k == 0.0
+        assert combined.mass(0b01) == pytest.approx(2e-12 - 1e-24, rel=1e-12)
+        assert combined.theta_mass == (1.0 - 1e-12) ** 2
+
+    @given(st.integers(0, 2**31 - 1), st.integers(6, 7))
+    @settings(max_examples=20, deadline=None)
+    def test_near_total_conflict_after_many_pruned_masses(self, seed, size):
+        # Every set holding element 1, then one nearly certain set without
+        # it: the last step divides the pruning deficit by 1 - k_step ~ 1e-3.
+        rng = np.random.default_rng(seed)
+        frame = Frame(size)
+        bits = list(range(1, frame.full_mask + 1, 2)) + [frame.full_mask - 1]
+        masses = [*rng.uniform(0.01, 1.0, len(bits) - 1), rng.uniform(0.999, 1.0)]
+        combined, _ = combine(
+            [SimpleSupport(FocalSet(b, frame), float(m)).to_mass() for b, m in zip(bits, masses)]
+        )
+        assert sum(m for _, m in combined.bit_items()) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestCommonalityTable:
+    def test_groups_subsets_by_containment(self):
+        frame = Frame(3)
+        evidence = [ssf(frame, [1], 0.5), ssf(frame, [2], 0.5), ssf(frame, [1, 2, 3], 0.5)]
+        table = commonality_table(evidence)
+        # {1} lies inside the first focal set only, {2} inside the second
+        # only; the other five subsets lie inside neither and their signs
+        # sum to -1.  All seven lie inside the whole frame.
+        rows = sorted(zip(table.outside.tolist(), table.coef.tolist()))
+        assert rows == [([0.0, 1.0, 0.0], 1.0), ([1.0, 0.0, 0.0], 1.0),
+                        ([1.0, 1.0, 0.0], -1.0)]
+        assert table.theta_row.tolist() == [1.0, 1.0, 0.0]
+        one_minus_k, q_theta = table.combine_discounted(np.ones((3, 1)))
+        assert one_minus_k[0] == pytest.approx(0.75, abs=1e-15)
+        assert q_theta[0] == 0.25
+
+    def test_frame_cap(self):
+        commonality_table([SimpleSupport(FocalSet(1, Frame(16)), 0.5)])
+        with pytest.raises(ValueError, match="at most 16"):
+            commonality_table([SimpleSupport(FocalSet(1, Frame(17)), 0.5)])
+
+    def test_rejects_empty_and_mixed_frames(self):
+        with pytest.raises(ValueError):
+            commonality_table([])
+        with pytest.raises(FrameMismatchError):
+            commonality_table([ssf(Frame(2), [1], 0.5), ssf(Frame(3), [1], 0.5)])
 
 
 class TestDiscountByVoltage:

@@ -8,8 +8,9 @@ import json
 import numpy as np
 import pytest
 
-import mcfnet.counts as counts
+import mcfnet.harness as harness
 from mcfnet.conflict import evaluate_partition
+from mcfnet.evidence import FocalSet, Frame, SimpleSupport
 from mcfnet.harness import (
     BatchSummary,
     RunConfig,
@@ -48,6 +49,20 @@ def unknown_result(tmp_path_factory):
 @pytest.fixture(scope="module")
 def fixed_result():
     return run(RunConfig(mode="fixed-k", fixed_k=5), seed=0)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """The calls a run makes to the count pipeline, as recorded argument tuples."""
+    calls = []
+    original = harness.compute_count_state
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "compute_count_state", recording)
+    return calls
 
 
 class TestRunConfig:
@@ -118,16 +133,42 @@ class TestRun:
         result = run(config, seed=0, evidence=evidence)
         assert len(result.partition.assignment) == 31
 
-    def test_fixed_k_never_consults_count_pipeline(self):
-        before = counts.COMPUTE_CALLS
+    def test_fixed_k_never_consults_count_pipeline(self, count_calls):
         run(RunConfig(mode="fixed-k", fixed_k=5,
                       params=HyperParams(max_iterations=30)), seed=1)
-        assert counts.COMPUTE_CALLS == before
+        assert count_calls == []
 
-    def test_unknown_k_consults_count_pipeline_every_iteration(self):
-        before = counts.COMPUTE_CALLS
+    def test_unknown_k_consults_count_pipeline_every_iteration(self, count_calls):
         result = run(RunConfig(params=HyperParams(max_iterations=10)), seed=1)
-        assert counts.COMPUTE_CALLS - before == result.iterations + 1
+        assert len(count_calls) == result.iterations + 1
+
+    def test_all_mass_one_problem_runs(self):
+        # Every piece at mass 1 once drove combine's masses off 1 by more
+        # than its tolerance, so this run raised ValueError.
+        result = run(RunConfig(problem=ProblemSpec(mass_mode="ones")), 0)
+        assert len(result.partition.assignment) == 31
+        assert 0.0 <= result.report.mcf <= 1.0
+
+    def test_unknown_k_on_a_frame_of_sixteen(self):
+        frame = Frame(16)
+        evidence = [
+            SimpleSupport(FocalSet.from_elements(frame, elements), mass, id=j)
+            for j, (elements, mass) in enumerate([
+                ([1], 0.8), ([1, 9], 0.6), ([1, 16], 0.7),
+                ([2], 0.8), ([2, 9], 0.5), ([2, 12, 16], 0.6),
+            ])
+        ]
+        config = RunConfig(problem=ProblemSpec(frame_size=16), columns=3)
+        result = run(config, seed=0, evidence=evidence)
+        assert len(result.partition.assignment) == 6
+        assert result.report.mcf == 0.0
+
+    def test_unknown_k_rejects_a_frame_above_the_table_cap(self):
+        evidence = [SimpleSupport(FocalSet(1, Frame(17)), 0.5),
+                    SimpleSupport(FocalSet(2, Frame(17)), 0.5)]
+        config = RunConfig(problem=ProblemSpec(frame_size=17), columns=2)
+        with pytest.raises(ValueError, match="at most 16"):
+            run(config, seed=0, evidence=evidence)
 
 
 class TestTrace:
