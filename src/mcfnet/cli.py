@@ -16,12 +16,13 @@ from mcfnet.conflict import Partition, evaluate_partition
 from mcfnet.counts import PriorSpec
 from mcfnet.harness import RunConfig, batch, run
 from mcfnet.network import HyperParams
-from mcfnet.problems import ProblemSpec, generate, load_evidence, save_evidence
+from mcfnet.problems import ProblemSpec, generate, load_evidence, save_evidence, seed_streams
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON config file; flags override it")
-    parser.add_argument("--seed", type=int, help="run seed (default 0)")
+    parser.add_argument("--seed", type=int,
+                        help="run seed (default 0); one seed is one problem in gen, run and batch")
     parser.add_argument("--mode", choices=["unknown-k", "fixed-k"], help="clustering mode")
     parser.add_argument("--k", type=int, help="cluster count in fixed-k mode (default 5)")
     parser.add_argument("--p", type=float, help="prior constant p (default 0.9)")
@@ -29,8 +30,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iter", type=int, help="iteration cap (default 1000)")
     parser.add_argument("--trace-dir", type=Path, help="emit per-iteration traces here")
     parser.add_argument("--snapshot-every", type=int, help="grid snapshot period (0 = off)")
-    parser.add_argument("--domain-term", choices=["cumulative", "literal"],
-                        help="domain-drive interpretation (default cumulative)")
     parser.add_argument("--frame-size", type=int, help="frame size (default 5)")
     parser.add_argument("--mass-mode", choices=["uniform", "ones"], help="mass drawing mode")
     parser.add_argument("--problem-file", type=Path, help="read evidence instead of generating")
@@ -38,13 +37,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="report the raw network partition without descent refinement")
 
 
+SETTINGS = ("seed", "mode", "k", "p", "columns", "max_iter", "trace_dir",
+            "snapshot_every", "frame_size", "mass_mode", "problem_file", "refine")
+
+
 def _settings(args: argparse.Namespace) -> dict:
     settings: dict = {}
     if getattr(args, "config", None):
         settings.update(json.loads(Path(args.config).read_text()))
-    for key in ("seed", "mode", "k", "p", "columns", "max_iter", "trace_dir",
-                "snapshot_every", "domain_term", "frame_size", "mass_mode",
-                "problem_file"):
+        unknown = sorted(set(settings) - set(SETTINGS))
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}; known: {list(SETTINGS)}")
+    for key in SETTINGS:
         val = getattr(args, key, None)
         if val is not None:
             settings[key] = val
@@ -53,26 +57,16 @@ def _settings(args: argparse.Namespace) -> dict:
     return settings
 
 
-def _build_config(settings: dict) -> RunConfig:
-    problem = ProblemSpec(
-        frame_size=int(settings.get("frame_size", 5)),
-        mass_mode=settings.get("mass_mode", "uniform"),
-        seed=int(settings.get("seed", 0)),
-    )
-    params = HyperParams(
-        max_iterations=int(settings.get("max_iter", 1000)),
-        domain_term=settings.get("domain_term", "cumulative"),
-        seed=int(settings.get("seed", 0)),
-    )
+def _build_config(settings: dict) -> tuple[RunConfig, int]:
+    """The run configuration and the run seed that settings describe."""
     columns = settings.get("columns")
-    prior = PriorSpec(
-        p=float(settings.get("p", 0.9)),
-        r_max=int(columns) if columns is not None else problem.frame_size + 1,
-    )
-    return RunConfig(
-        problem=problem,
-        params=params,
-        prior=prior,
+    config = RunConfig(
+        problem=ProblemSpec(
+            frame_size=int(settings.get("frame_size", 5)),
+            mass_mode=settings.get("mass_mode", "uniform"),
+        ),
+        params=HyperParams(max_iterations=int(settings.get("max_iter", 1000))),
+        prior=PriorSpec(p=float(settings.get("p", 0.9))),
         mode=settings.get("mode", "unknown-k"),
         fixed_k=int(settings.get("k", 5)),
         columns=int(columns) if columns is not None else None,
@@ -80,6 +74,7 @@ def _build_config(settings: dict) -> RunConfig:
         snapshot_every=int(settings.get("snapshot_every", 0)),
         refine=bool(settings.get("refine", True)),
     )
+    return config, int(settings.get("seed", 0))
 
 
 def _load_problem(settings: dict):
@@ -89,13 +84,9 @@ def _load_problem(settings: dict):
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    settings = _settings(args)
-    spec = ProblemSpec(
-        frame_size=int(settings.get("frame_size", 5)),
-        mass_mode=settings.get("mass_mode", "uniform"),
-        seed=int(settings.get("seed", 0)),
-    )
-    evidence = generate(spec)
+    config, seed = _build_config(_settings(args))
+    mass_rng, _ = seed_streams(seed)
+    evidence = generate(config.problem, mass_rng)
     save_evidence(args.out, evidence)
     print(f"wrote {len(evidence)} pieces of evidence to {args.out}")
     return 0
@@ -103,8 +94,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     settings = _settings(args)
-    config = _build_config(settings)
-    result = run(config, evidence=_load_problem(settings))
+    config, seed = _build_config(settings)
+    result = run(config, seed, evidence=_load_problem(settings))
     out = {
         "seed": result.seed,
         "mode": result.mode,
@@ -123,9 +114,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    settings = _settings(args)
-    config = _build_config(settings)
-    summary = batch(config, n_seeds=args.runs, output_dir=args.out_dir)
+    config, seed = _build_config(_settings(args))
+    summary = batch(config, n_seeds=args.runs, base_seed=seed, output_dir=args.out_dir)
     print(summary.human_table())
     if args.out_dir:
         print(f"summary written to {args.out_dir}")

@@ -159,27 +159,19 @@ def evaluate_partition(
 
 
 def refine_partition(
-    evidence: Sequence[SimpleSupport],
-    partition: Partition,
-    allowed_clusters: Sequence[int] | None = None,
+    evidence: Sequence[SimpleSupport], partition: Partition
 ) -> Partition:
     """Greedy single-move descent on the metaconflict from a starting partition.
 
-    Repeatedly moves one piece of evidence to another allowed cluster while
-    any move strictly lowers the metaconflict.  By default moves are
-    restricted to the clusters already occupied in the starting partition,
-    so the cluster count never increases.  Deterministic: rows and target
-    clusters are scanned in index order and the best move per row is taken.
+    Repeatedly moves one piece of evidence to another cluster while any move
+    strictly lowers the metaconflict.  Moves are restricted to the clusters
+    already occupied in the starting partition, so the cluster count never
+    increases.  Deterministic: rows and target clusters are scanned in index
+    order and the best move per row is taken.
     """
     if len(partition.assignment) != len(evidence):
         raise ValueError("partition length does not match evidence count")
-    if allowed_clusters is None:
-        allowed = sorted(set(partition.assignment))
-    else:
-        allowed = sorted(set(allowed_clusters))
-        for a in allowed:
-            if not 0 <= a < partition.n_clusters:
-                raise ValueError(f"cluster index {a} outside [0, {partition.n_clusters})")
+    allowed = sorted(set(partition.assignment))
     assignment = list(partition.assignment)
     conflicts = [
         cluster_conflict(evidence, [i for i, a in enumerate(assignment) if a == c])

@@ -22,7 +22,6 @@ from mcfnet.evidence import (
     SimpleSupport,
     TotalConflictError,
     combine,
-    commonality_table,
     discount_by_voltage,
 )
 from mcfnet.network import NetworkState
@@ -34,23 +33,19 @@ TOTAL_CONFLICT_FLOOR = 1e-12
 class PriorSpec:
     """Geometric prior over the cluster count: m(r) proportional to p^(2(r-1)).
 
-    Normalized so the masses sum to 1 over r = 1..r_max.  The default
-    p = 0.9 penalizes extra clusters gently; smaller values push the
-    determination toward fewer clusters.
+    The default p = 0.9 penalizes extra clusters gently; smaller values push
+    the determination toward fewer clusters.
     """
 
     p: float = 0.9
-    r_max: int = 6
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must be in (0, 1), got {self.p}")
-        if self.r_max < 1:
-            raise ValueError("r_max must be >= 1")
 
-    @property
-    def masses(self) -> np.ndarray:
-        raw = self.p ** (2.0 * np.arange(self.r_max))
+    def masses(self, r_max: int) -> np.ndarray:
+        """Prior masses for r = 1..r_max, normalized to sum to 1."""
+        raw = self.p ** (2.0 * np.arange(r_max))
         return raw / raw.sum()
 
 
@@ -149,12 +144,11 @@ def posterior_counts(
 
     {count = r} intersects {count >= j} iff j <= r, so the unnormalized
     posterior at r is m(r) * (theta_mass + sum_{j<=r} at_least[j]) and the
-    conflict c0 collects the j > r cross terms.
+    conflict c0 collects the j > r cross terms.  The prior covers counts
+    1..len(at_least).
     """
     at_least = np.asarray(at_least, dtype=float)
-    if at_least.shape != (prior.r_max,):
-        raise ValueError("at_least length must equal the prior's r_max")
-    m = prior.masses
+    m = prior.masses(len(at_least))
     cum = theta_mass + np.cumsum(at_least)
     unnorm = m * cum
     tails = at_least.sum() - np.cumsum(at_least)  # sum over j > r for each r
@@ -187,19 +181,15 @@ def compute_count_state(
     state: NetworkState,
     prior: PriorSpec,
     alpha: float,
-    table: CommonalityTable | None = None,
+    table: CommonalityTable,
 ) -> CountState:
     """Chain existence -> at-least -> posterior -> gradual determination.
 
-    table is commonality_table(evidence), built here when not given; a run
-    builds it once and passes it to every call.
+    table is commonality_table(evidence); a run builds it once and passes it
+    to every call.
     """
-    if prior.r_max != state.cols:
-        raise ValueError("prior r_max must equal the column count")
     if len(evidence) != state.rows:
         raise ValueError("evidence count must equal the row count")
-    if table is None:
-        table = commonality_table(evidence)
     supports, thetas, meaningless = existence_supports(table, state.v)
     at_least, theta_mass = at_least_distribution(supports)
     posterior, c0 = posterior_counts(at_least, theta_mass, prior)

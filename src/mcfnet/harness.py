@@ -28,6 +28,7 @@ from mcfnet.conflict import (
 from mcfnet.counts import CountState, PriorSpec, compute_count_state
 from mcfnet.evidence import SimpleSupport, commonality_table
 from mcfnet.network import (
+    RESEAT_DELAY,
     HyperParams,
     entropy,
     extract_partition,
@@ -38,14 +39,18 @@ from mcfnet.network import (
     reseat_stalled_row,
     step,
 )
-from mcfnet.problems import ProblemSpec, generate
+from mcfnet.problems import ProblemSpec, generate, seed_streams
 
 MODES = ("unknown-k", "fixed-k")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one run needs; the prior's r_max must match the column count."""
+    """Everything one run needs except its seed.
+
+    n_columns() is the one column count: the grid's width and the size of
+    the count distribution.
+    """
 
     problem: ProblemSpec = ProblemSpec()
     params: HyperParams = HyperParams()
@@ -54,15 +59,16 @@ class RunConfig:
     fixed_k: int = 5
     columns: int | None = None
     trace_dir: str | Path | None = None
-    trace_scalars: bool = True
     snapshot_every: int = 0
     refine: bool = True  # single-move descent on the extracted partition
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.mode == "fixed-k" and not 1 <= self.fixed_k <= self.problem.n_evidence:
-            raise ValueError("fixed_k must be in [1, evidence count]")
+        if self.mode == "fixed-k" and not 2 <= self.fixed_k <= self.problem.n_evidence:
+            raise ValueError("fixed_k must be in [2, evidence count]")
+        if self.columns is not None and self.columns < 2:
+            raise ValueError("columns must be >= 2")
 
     def n_columns(self) -> int:
         if self.mode == "fixed-k":
@@ -92,12 +98,6 @@ class RunResult:
     trace_rows: list[dict] = field(default_factory=list)
     snapshots: list[tuple[int, np.ndarray]] = field(default_factory=list)
     trace_files: list[Path] = field(default_factory=list)
-
-
-def _evidence_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """Split one run seed into independent mass and init-noise streams."""
-    mass_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(mass_ss), np.random.default_rng(noise_ss)
 
 
 def _trace_row(
@@ -133,17 +133,15 @@ def _trace_row(
 
 def run(
     config: RunConfig,
-    seed: int | None = None,
+    seed: int = 0,
     evidence: Sequence[SimpleSupport] | None = None,
 ) -> RunResult:
     """Execute one clustering run to convergence (or the iteration cap).
 
     The run seed drives both the random problem masses and the init noise
-    through split streams; pass pre-built evidence to skip generation.
+    through seed_streams; pass pre-built evidence to skip generation.
     """
-    if seed is None:
-        seed = config.params.seed
-    mass_rng, noise_rng = _evidence_streams(seed)
+    mass_rng, noise_rng = seed_streams(seed)
     if evidence is None:
         evidence = generate(config.problem, mass_rng)
     evidence = list(evidence)
@@ -151,9 +149,6 @@ def run(
     r_cols = config.n_columns()
     params = config.params
     unknown = config.mode == "unknown-k"
-    prior = config.prior
-    if unknown and prior.r_max != r_cols:
-        prior = PriorSpec(p=prior.p, r_max=r_cols)
 
     tracing = config.trace_dir is not None
     weights = conflict_matrix(evidence)
@@ -168,8 +163,8 @@ def run(
     while True:
         raw, alpha = entropy(state)
         if unknown:
-            count_state = compute_count_state(evidence, state, prior, alpha, table)
-        if tracing and config.trace_scalars:
+            count_state = compute_count_state(evidence, state, config.prior, alpha, table)
+        if tracing:
             trace_rows.append(
                 _trace_row(state.t, raw, alpha, evidence,
                            extract_partition(state), count_state)
@@ -181,7 +176,7 @@ def run(
         gd = count_state.gd if unknown else None
         previous_u = state.u.copy()
         state = step(state, weights, gd, params)
-        if state.t > params.reseat_delay and is_stalled(previous_u, state, params):
+        if state.t > RESEAT_DELAY and is_stalled(previous_u, state, params):
             reseated = reseat_stalled_row(state, weights, masses, gd, params)
             if reseated is not None:
                 state = reseated
@@ -286,6 +281,8 @@ def _mode_stats(records: list[dict]) -> dict:
     return {
         "n_runs": len(records),
         "mean_iterations": float(np.mean([r["iterations"] for r in records])),
+        "mean_mcf": float(np.mean(mcfs)),
+        "mean_network_mcf": float(np.mean([r["network_mcf"] for r in records])),
         "cluster_count_histogram": dict(sorted(hist.items())),
         "best_of_4_mcf": float(min(r["mcf"] for r in best4)),
         "mean_of_4_mcf": float(np.mean([r["mcf"] for r in best4])),
@@ -304,7 +301,7 @@ def _mode_stats(records: list[dict]) -> dict:
 def batch(
     config: RunConfig,
     n_seeds: int,
-    base_seed: int | None = None,
+    base_seed: int = 0,
     output_dir: str | Path | None = None,
 ) -> BatchSummary:
     """Run n_seeds seeded problems in both modes and summarize.
@@ -315,8 +312,6 @@ def batch(
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
-    if base_seed is None:
-        base_seed = config.params.seed
     seeds = [base_seed + i for i in range(n_seeds)]
     runs: list[dict] = []
     failures: list[dict] = []

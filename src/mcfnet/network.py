@@ -10,11 +10,18 @@ input voltage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from mcfnet.conflict import ConflictMatrix, Partition
+
+
+# Stall detector: a step in which no input voltage moves more than this many
+# u0 counts as stalled.
+STALL_THRESHOLD = 0.2
+# Earliest iteration at which a stalled row may be reseated.
+RESEAT_DELAY = 50
 
 
 class DegenerateStartError(ValueError):
@@ -26,8 +33,7 @@ class HyperParams:
     """Network gains and run controls.
 
     The numeric defaults are the published parameter settings for the
-    31-evidence benchmark; domain_term selects how the count distribution
-    drives a column (see harness docs).
+    31-evidence benchmark.
     """
 
     eta: float = 1e-5
@@ -41,15 +47,14 @@ class HyperParams:
     max_iterations: int = 1000
     v_high: float = 0.99          # winner threshold for crisp convergence
     v_low: float = 0.01           # loser threshold for crisp convergence
-    self_coupling: bool = True    # include i = m in the column sum
-    domain_term: str = "cumulative"  # or "literal"
     u_clamp: float = 5.0          # |u| bound, in units of u0 (0 disables)
     eb_anneal: float = 300.0      # entropy-annealed reduction of eb (0 disables)
-    stall_threshold: float = 0.2  # stall detector: max |du| per step, in units of u0
-    reseat_delay: int = 50        # earliest iteration at which a stalled row may be reseated
-    seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.eta < 0.0:
             raise ValueError("eta must be >= 0")
         if self.u0 <= 0.0:
@@ -62,8 +67,8 @@ class HyperParams:
             raise ValueError("u_clamp must be >= 0")
         if self.eb_anneal < 0.0:
             raise ValueError("eb_anneal must be >= 0")
-        if self.domain_term not in ("cumulative", "literal"):
-            raise ValueError(f"unknown domain_term {self.domain_term!r}")
+        if self.v_low >= self.v_high:
+            raise ValueError("v_low must be < v_high")
 
 
 @dataclass(frozen=True)
@@ -130,18 +135,16 @@ def coupling_matrix(weights: ConflictMatrix, params: HyperParams) -> np.ndarray:
     return params.dti * weights.log_weights + params.gi
 
 
-def domain_drive(gd: np.ndarray, params: HyperParams) -> np.ndarray:
+def domain_drive(gd: np.ndarray) -> np.ndarray:
     """Per-column drive derived from the count distribution gd (index r-1 <-> count r).
 
-    cumulative: column n (0-based) is driven by the total belief that fewer
-    than n+1 clusters exist, suppressing high-index columns.
-    literal: column n is driven by gd at count n+1 (the equation read verbatim).
+    Column n (0-based) is driven by the total belief that fewer than n+1
+    clusters exist, suppressing high-index columns.  Driving column n by gd
+    at count n+1 alone, the equation read verbatim, left unknown-k runs on
+    the 31-evidence benchmark crisp in 6 of 10 seeds instead of 10 of 10.
     """
     gd = np.asarray(gd, dtype=float)
-    if params.domain_term == "literal":
-        return gd
-    cum = np.concatenate(([0.0], np.cumsum(gd)[:-1]))
-    return cum
+    return np.concatenate(([0.0], np.cumsum(gd)[:-1]))
 
 
 def step(
@@ -166,8 +169,6 @@ def step(
     v = state.v
     coupling = coupling_matrix(weights, params)
     t1 = coupling.T @ v
-    if not params.self_coupling:
-        t1 = t1 - params.gi * v
     t2 = (params.ri + params.gi) * (v.sum(axis=1, keepdims=True) - v)
     eb = params.eb
     if params.eb_anneal > 0.0:
@@ -178,7 +179,7 @@ def step(
         gd = np.asarray(gd, dtype=float)
         if gd.shape != (state.cols,):
             raise ValueError("gd must have one value per column")
-        total = total + (params.dom_ti + params.gi) * domain_drive(gd, params)
+        total = total + (params.dom_ti + params.gi) * domain_drive(gd)
     u_new = state.u + params.eta * (total - state.u)
     if params.u_clamp > 0.0:
         bound = params.u_clamp * params.u0
@@ -204,12 +205,17 @@ def entropy(state: NetworkState) -> tuple[float, float]:
     return raw, alpha
 
 
-def is_crisp(state: NetworkState, params: HyperParams) -> bool:
-    """True when every row has exactly one winner >= v_high and losers <= v_low."""
+def crisp_rows(state: NetworkState, params: HyperParams) -> np.ndarray:
+    """Rows with exactly one winner >= v_high and every other voltage <= v_low."""
     v = state.v
     winners = v >= params.v_high
     losers = v <= params.v_low
-    return bool(np.all(winners.sum(axis=1) == 1) and np.all(winners | losers))
+    return (winners.sum(axis=1) == 1) & np.all(winners | losers, axis=1)
+
+
+def is_crisp(state: NetworkState, params: HyperParams) -> bool:
+    """True when every row is crisp."""
+    return bool(crisp_rows(state, params).all())
 
 
 def has_converged(state: NetworkState, params: HyperParams) -> bool:
@@ -217,20 +223,12 @@ def has_converged(state: NetworkState, params: HyperParams) -> bool:
     return state.t >= params.max_iterations or is_crisp(state, params)
 
 
-def crisp_rows(state: NetworkState, params: HyperParams) -> np.ndarray:
-    """Boolean mask of rows that individually pass the crispness test."""
-    v = state.v
-    winners = v >= params.v_high
-    losers = v <= params.v_low
-    return (winners.sum(axis=1) == 1) & np.all(winners | losers, axis=1)
-
-
 def is_stalled(
     previous_u: np.ndarray, state: NetworkState, params: HyperParams
 ) -> bool:
-    """True when no input voltage moved more than stall_threshold * u0 this step."""
+    """True when no input voltage moved more than STALL_THRESHOLD * u0 this step."""
     du = float(np.abs(state.u - previous_u).max())
-    return du < params.stall_threshold * params.u0
+    return du < STALL_THRESHOLD * params.u0
 
 
 def reseat_stalled_row(
@@ -261,7 +259,7 @@ def reseat_stalled_row(
         + params.gi * (v.sum(axis=0) - v[m])
     )
     if gd is not None:
-        score = score + (params.dom_ti + params.gi) * domain_drive(gd, params)
+        score = score + (params.dom_ti + params.gi) * domain_drive(gd)
     best = int(np.argmax(score))
     bound = (params.u_clamp if params.u_clamp > 0.0 else 5.0) * params.u0
     u_new = state.u.copy()

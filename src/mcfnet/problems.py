@@ -26,7 +26,6 @@ class ProblemSpec:
 
     frame_size: int = 5
     mass_mode: str = "uniform"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.frame_size < 1:
@@ -42,15 +41,18 @@ class ProblemSpec:
         return Frame(self.frame_size)
 
 
-def generate(
-    spec: ProblemSpec, rng: np.random.Generator | None = None
-) -> list[SimpleSupport]:
-    """Generate the evidence list in ascending-bitmask subset order.
+def seed_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """Split one run seed into independent mass and init-noise streams.
 
-    Deterministic per seed when rng is not supplied.
+    Every entry point that turns a seed into a problem draws its masses from
+    the first stream, so one seed names one problem.
     """
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+    mass_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
+    return np.random.default_rng(mass_ss), np.random.default_rng(noise_ss)
+
+
+def generate(spec: ProblemSpec, rng: np.random.Generator) -> list[SimpleSupport]:
+    """Generate the evidence list in ascending-bitmask subset order."""
     frame = spec.frame()
     evidence = []
     for j, bits in enumerate(range(1, frame.full_mask + 1)):

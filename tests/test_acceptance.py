@@ -39,7 +39,7 @@ def check(criterion: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def unknown_runs(tmp_path_factory):
     trace_dir = tmp_path_factory.mktemp("acceptance_unknown")
-    config = RunConfig(mode="unknown-k", trace_dir=trace_dir, trace_scalars=True)
+    config = RunConfig(mode="unknown-k", trace_dir=trace_dir)
     return [run(config, seed=s) for s in range(N_SEEDS)]
 
 
@@ -53,8 +53,8 @@ def test_criterion_1_zero_minimum_oracle():
     """Canonical partition of the generated 31-evidence problem scores 0."""
     worst = 0.0
     for seed in range(10):
-        spec = ProblemSpec(seed=seed)
-        evidence = generate(spec)
+        spec = ProblemSpec()
+        evidence = generate(spec, np.random.default_rng(seed))
         part = canonical_partition(evidence, spec.frame())
         worst = max(worst, evaluate_partition(evidence, part, 0.0).mcf)
     check(1, worst <= 1e-12, f"max canonical Mcf over 10 seeds = {worst:.3e} (<= 1e-12)")
@@ -159,7 +159,7 @@ class TestCriterion9PropertySuites:
             supports = rng.uniform(0.0, 0.99, size=r_max)
             at_least, theta = at_least_distribution(supports)
             assert theta + at_least.sum() == pytest.approx(1.0, abs=1e-9)
-            prior = PriorSpec(p=float(rng.uniform(0.1, 0.95)), r_max=r_max)
+            prior = PriorSpec(p=float(rng.uniform(0.1, 0.95)))
             posterior, _ = posterior_counts(at_least, theta, prior)
             assert posterior.sum() == pytest.approx(1.0, abs=1e-9)
             gd = gradual_determination(posterior, float(rng.uniform(0.0, 1.0)))

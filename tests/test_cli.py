@@ -50,6 +50,16 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert out["iterations"] <= 20  # flag beat the config file
 
 
+def test_config_file_with_unknown_key_rejected(tmp_path, capsys):
+    # r_max is no longer a setting: the column count alone sizes the prior.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"r_max": 3, "max_iter": 5}))
+    assert main(["run", "--config", str(config)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "r_max" in err["message"]
+
+
 def test_batch_writes_summary(tmp_path, capsys):
     out_dir = tmp_path / "batch"
     code = main(["batch", "--runs", "1", "--max-iter", "60",
@@ -87,7 +97,14 @@ def test_error_is_machine_readable(capsys):
     assert "p" in err["message"]
 
 
-def test_domain_term_flag_accepted(capsys):
-    code = main(["run", "--domain-term", "literal", "--max-iter", "10"])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["iterations"] == 10
+def test_gen_and_run_with_one_seed_solve_one_problem(tmp_path, capsys):
+    problem = tmp_path / "problem.txt"
+    assert main(["gen", "--seed", "3", "--out", str(problem)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--seed", "3", "--max-iter", "200"]) == 0
+    generated = json.loads(capsys.readouterr().out)
+    assert main(["run", "--problem-file", str(problem), "--seed", "3",
+                 "--max-iter", "200"]) == 0
+    from_file = json.loads(capsys.readouterr().out)
+    for key in ("assignment", "mcf", "network_mcf", "iterations"):
+        assert from_file[key] == generated[key]

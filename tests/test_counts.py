@@ -31,8 +31,7 @@ def ssf(frame: Frame, elements, mass: float) -> SimpleSupport:
 
 class TestPriorSpec:
     def test_masses_normalized_and_geometric(self):
-        prior = PriorSpec(p=0.8, r_max=6)
-        m = prior.masses
+        m = PriorSpec(p=0.8).masses(6)
         assert m.sum() == pytest.approx(1.0, abs=1e-12)
         ratios = m[1:] / m[:-1]
         assert np.allclose(ratios, 0.8**2, atol=1e-12)
@@ -41,8 +40,6 @@ class TestPriorSpec:
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
                 PriorSpec(p=bad)
-        with pytest.raises(ValueError):
-            PriorSpec(r_max=0)
 
 
 class TestClusterExistence:
@@ -197,31 +194,27 @@ class TestAtLeastDistribution:
 
 class TestPosteriorCounts:
     def test_vacuous_evidence_returns_prior(self):
-        prior = PriorSpec(p=0.9, r_max=6)
+        prior = PriorSpec(p=0.9)
         posterior, c0 = posterior_counts(np.zeros(6), 1.0, prior)
-        assert np.allclose(posterior, prior.masses, atol=1e-12)
+        assert np.allclose(posterior, prior.masses(6), atol=1e-12)
         assert c0 == 0.0
 
     def test_all_clusters_certain(self):
-        prior = PriorSpec(p=0.9, r_max=4)
+        prior = PriorSpec(p=0.9)
         at_least = np.zeros(4)
         at_least[3] = 1.0
         posterior, c0 = posterior_counts(at_least, 0.0, prior)
         assert posterior[3] == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(posterior[:3], 0.0, atol=1e-12)
-        assert c0 == pytest.approx(1.0 - prior.masses[3], abs=1e-12)
+        assert c0 == pytest.approx(1.0 - prior.masses(4)[3], abs=1e-12)
 
     def test_at_least_one_is_uninformative(self):
-        prior = PriorSpec(p=0.7, r_max=5)
+        prior = PriorSpec(p=0.7)
         at_least = np.zeros(5)
         at_least[0] = 1.0
         posterior, c0 = posterior_counts(at_least, 0.0, prior)
-        assert np.allclose(posterior, prior.masses, atol=1e-12)
+        assert np.allclose(posterior, prior.masses(5), atol=1e-12)
         assert c0 == 0.0
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            posterior_counts(np.zeros(3), 1.0, PriorSpec(r_max=4))
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=300, deadline=None)
@@ -230,10 +223,10 @@ class TestPosteriorCounts:
         r_max = int(rng.integers(1, 9))
         supports = rng.uniform(0.0, 0.99, size=r_max)
         at_least, theta = at_least_distribution(supports)
-        prior = PriorSpec(p=float(rng.uniform(0.1, 0.95)), r_max=r_max)
+        prior = PriorSpec(p=float(rng.uniform(0.1, 0.95)))
         posterior, c0 = posterior_counts(at_least, theta, prior)
         assert posterior.sum() == pytest.approx(1.0, abs=1e-9)
-        m = prior.masses
+        m = prior.masses(r_max)
         oracle_c0 = sum(
             m[r] * at_least[j] for r in range(r_max) for j in range(r + 1, r_max)
         )
@@ -271,14 +264,15 @@ class TestGradualDetermination:
 
 @pytest.fixture(scope="module")
 def problem():
-    return generate(ProblemSpec(seed=0))
+    return generate(ProblemSpec(), np.random.default_rng(0))
 
 
 class TestComputeCountState:
     def test_fresh_init_posterior_positive(self, problem):
         params = HyperParams()
         state = init_state(31, 6, params, np.random.default_rng(0))
-        cs = compute_count_state(problem, state, PriorSpec(r_max=6), 1.0)
+        cs = compute_count_state(problem, state, PriorSpec(), 1.0,
+                                 commonality_table(problem))
         assert isinstance(cs, CountState)
         assert np.all(cs.posterior > 0.0)
         assert np.array_equal(cs.gd, cs.posterior)  # alpha = 1 identity
@@ -290,22 +284,22 @@ class TestComputeCountState:
             u[m, m % 5] = 10 * params.u0  # column 6 stays dark
         state = NetworkState(u=u, v=output_voltage(u, params.u0), t=50,
                              entropy0=1.0)
-        cs = compute_count_state(problem, state, PriorSpec(r_max=6), 0.0)
+        cs = compute_count_state(problem, state, PriorSpec(), 0.0,
+                                 commonality_table(problem))
         assert cs.supports[5] < 1e-3
         assert np.all(cs.supports[:5] > 0.5)
 
     def test_dimension_validation(self, problem):
         state = init_state(31, 6, HyperParams(), np.random.default_rng(0))
         with pytest.raises(ValueError):
-            compute_count_state(problem, state, PriorSpec(r_max=5), 1.0)
-        with pytest.raises(ValueError):
-            compute_count_state(problem[:30], state, PriorSpec(r_max=6), 1.0)
+            compute_count_state(problem[:30], state, PriorSpec(), 1.0,
+                                commonality_table(problem[:30]))
 
     def test_run_passes_one_table_to_every_call(self, monkeypatch):
         tables = []
         original = harness.compute_count_state
 
-        def recording(evidence, state, prior, alpha, table=None):
+        def recording(evidence, state, prior, alpha, table):
             tables.append(table)
             return original(evidence, state, prior, alpha, table)
 

@@ -4,22 +4,19 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mcfnet.harness as harness
 from mcfnet.conflict import evaluate_partition
 from mcfnet.evidence import FocalSet, Frame, SimpleSupport
-from mcfnet.harness import (
-    BatchSummary,
-    RunConfig,
-    _evidence_streams,
-    batch,
-    run,
-)
+from mcfnet.harness import MODES, BatchSummary, RunConfig, batch, run
 from mcfnet.network import HyperParams
-from mcfnet.problems import ProblemSpec, generate
+from mcfnet.problems import MASS_MODES, ProblemSpec, generate, seed_streams
 
 TIMING_FIELDS = ("elapsed_s", "mean_elapsed_s")
 
@@ -40,7 +37,6 @@ def unknown_result(tmp_path_factory):
     config = RunConfig(
         mode="unknown-k",
         trace_dir=tmp_path_factory.mktemp("trace_unknown"),
-        trace_scalars=True,
         snapshot_every=50,
     )
     return run(config, seed=0)
@@ -79,6 +75,17 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(mode="fixed-k", fixed_k=32)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"mode": "fixed-k", "fixed_k": 1},
+        {"columns": 1},
+        {"columns": 0},
+    ])
+    def test_fewer_than_two_columns_rejected(self, kwargs):
+        # init_state starts every neuron at u0 * atanh(2/R - 1), which is
+        # finite only for R >= 2 columns; the config says so before a run.
+        with pytest.raises(ValueError, match="fixed_k|columns"):
+            RunConfig(**kwargs)
+
 
 class TestRun:
     def test_unknown_k_converges_crisp(self, unknown_result):
@@ -96,7 +103,7 @@ class TestRun:
         assert r.final_c0 == 0.0
 
     def test_report_matches_engine(self, unknown_result):
-        mass_rng, _ = _evidence_streams(0)
+        mass_rng, _ = seed_streams(0)
         evidence = generate(ProblemSpec(), mass_rng)
         report = evaluate_partition(evidence, unknown_result.partition, 0.0)
         assert abs(report.mcf - unknown_result.report.mcf) <= 1e-12
@@ -128,7 +135,7 @@ class TestRun:
         assert a.iterations == b.iterations
 
     def test_explicit_evidence_skips_generation(self):
-        evidence = generate(ProblemSpec(seed=99))
+        evidence = generate(ProblemSpec(), np.random.default_rng(99))
         config = RunConfig(params=HyperParams(max_iterations=5))
         result = run(config, seed=0, evidence=evidence)
         assert len(result.partition.assignment) == 31
@@ -169,6 +176,43 @@ class TestRun:
         config = RunConfig(problem=ProblemSpec(frame_size=17), columns=2)
         with pytest.raises(ValueError, match="at most 16"):
             run(config, seed=0, evidence=evidence)
+
+
+class TestRunFuzz:
+    @given(
+        frame_size=st.integers(1, 6),
+        mass_mode=st.sampled_from(MASS_MODES),
+        columns=st.integers(2, 8),
+        mode=st.sampled_from(MODES),
+        cap=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=800, deadline=None)
+    def test_valid_result_or_documented_error(
+        self, frame_size, mass_mode, columns, mode, cap, seed
+    ):
+        problem = ProblemSpec(frame_size=frame_size, mass_mode=mass_mode)
+        kwargs = dict(problem=problem, params=HyperParams(max_iterations=cap),
+                      mode=mode, fixed_k=columns, columns=columns)
+        if mode == "fixed-k" and columns > problem.n_evidence:
+            with pytest.raises(ValueError, match="fixed_k"):
+                RunConfig(**kwargs)
+            return
+        config = RunConfig(**kwargs)
+        result = run(config, seed)
+        n = problem.n_evidence
+        assert len(result.partition.assignment) == n
+        assert len(result.network_partition.assignment) == n
+        assert 0.0 <= result.report.mcf <= 1.0
+        assert 0.0 <= result.network_mcf <= 1.0
+        assert result.cluster_count <= columns
+        assert result.iterations <= cap
+        if not result.crisp:
+            assert result.iterations == cap
+        elif result.iterations == cap:
+            # Crisp exactly at the cap: a higher cap must stop there too.
+            longer = run(replace(config, params=HyperParams(max_iterations=cap + 1)), seed)
+            assert longer.iterations == cap
 
 
 class TestTrace:
@@ -234,6 +278,12 @@ class TestBatch:
                 "mcf_per_evidence",
             ):
                 assert field in stats
+
+    def test_network_and_refined_mcf_side_by_side(self, small_batch):
+        summary, _ = small_batch
+        for mode in ("unknown-k", "fixed-k"):
+            stats = summary.per_mode[mode]
+            assert 0.0 <= stats["mean_mcf"] <= stats["mean_network_mcf"] <= 1.0
 
     def test_small_batch_flags_degenerate_statistics(self, small_batch):
         summary, _ = small_batch

@@ -118,14 +118,8 @@ class TestCoupling:
 
     def test_domain_drive_cumulative(self):
         gd = np.array([0.1, 0.2, 0.3, 0.4])
-        params = HyperParams(domain_term="cumulative")
         expected = np.array([0.0, 0.1, 0.3, 0.6])
-        assert np.allclose(domain_drive(gd, params), expected, atol=1e-12)
-
-    def test_domain_drive_literal(self):
-        gd = np.array([0.1, 0.2, 0.7])
-        params = HyperParams(domain_term="literal")
-        assert np.array_equal(domain_drive(gd, params), gd)
+        assert np.allclose(domain_drive(gd), expected, atol=1e-12)
 
 
 class TestStep:
@@ -336,7 +330,11 @@ class TestHyperParamsValidation:
             {"max_iterations": 0},
             {"u_clamp": -1.0},
             {"eb_anneal": -1.0},
-            {"domain_term": "bogus"},
+            {"eta": float("nan")},
+            {"eb": float("inf")},
+            {"dti": float("-inf")},
+            {"v_low": 0.9, "v_high": 0.1},
+            {"v_low": 0.5, "v_high": 0.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

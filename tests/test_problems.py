@@ -13,6 +13,7 @@ from mcfnet.problems import (
     generate,
     load_evidence,
     save_evidence,
+    seed_streams,
 )
 
 
@@ -30,24 +31,24 @@ class TestProblemSpec:
 
 class TestGenerate:
     def test_all_nonempty_subsets_once(self):
-        evidence = generate(ProblemSpec(seed=0))
+        evidence = generate(ProblemSpec(), np.random.default_rng(0))
         assert len(evidence) == 31
         assert [e.focal.bits for e in evidence] == list(range(1, 32))
         assert [e.id for e in evidence] == list(range(31))
 
     def test_masses_open_interval(self):
-        evidence = generate(ProblemSpec(seed=4))
+        evidence = generate(ProblemSpec(), np.random.default_rng(4))
         assert all(0.0 < e.mass < 1.0 for e in evidence)
 
     def test_ones_mode(self):
-        evidence = generate(ProblemSpec(mass_mode="ones"))
+        evidence = generate(ProblemSpec(mass_mode="ones"), np.random.default_rng(0))
         assert all(e.mass == 1.0 for e in evidence)
 
     def test_seed_determinism(self):
-        a = generate(ProblemSpec(seed=7))
-        b = generate(ProblemSpec(seed=7))
+        a = generate(ProblemSpec(), seed_streams(7)[0])
+        b = generate(ProblemSpec(), seed_streams(7)[0])
         assert [e.mass for e in a] == [e.mass for e in b]
-        c = generate(ProblemSpec(seed=8))
+        c = generate(ProblemSpec(), seed_streams(8)[0])
         assert [e.mass for e in a] != [e.mass for e in c]
 
     def test_explicit_rng_stream(self):
@@ -57,7 +58,7 @@ class TestGenerate:
         assert [e.mass for e in a] == [e.mass for e in b]
 
     def test_frame_size_one(self):
-        evidence = generate(ProblemSpec(frame_size=1))
+        evidence = generate(ProblemSpec(frame_size=1), np.random.default_rng(0))
         assert len(evidence) == 1
         assert evidence[0].focal.elements() == (1,)
 
@@ -65,21 +66,21 @@ class TestGenerate:
 class TestCanonicalPartition:
     def test_smallest_element_rule(self):
         spec = ProblemSpec()
-        evidence = generate(spec)
+        evidence = generate(spec, np.random.default_rng(0))
         part = canonical_partition(evidence, spec.frame())
         for e, cluster in zip(evidence, part.assignment):
             assert min(e.focal.elements()) == cluster + 1
 
     def test_cluster_sizes(self):
         spec = ProblemSpec()
-        evidence = generate(spec)
+        evidence = generate(spec, np.random.default_rng(0))
         part = canonical_partition(evidence, spec.frame())
         assert part.cluster_sizes() == (16, 8, 4, 2, 1)
         assert part.nonempty_count() == 5
 
     def test_no_conflict_within_any_cluster(self):
-        spec = ProblemSpec(seed=9)
-        evidence = generate(spec)
+        spec = ProblemSpec()
+        evidence = generate(spec, np.random.default_rng(9))
         part = canonical_partition(evidence, spec.frame())
         for cluster in range(5):
             members = part.members(cluster)
@@ -89,15 +90,15 @@ class TestCanonicalPartition:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_metaconflict_is_exactly_zero(self, seed):
-        spec = ProblemSpec(seed=seed)
-        evidence = generate(spec)
+        spec = ProblemSpec()
+        evidence = generate(spec, np.random.default_rng(seed))
         part = canonical_partition(evidence, spec.frame())
         assert evaluate_partition(evidence, part, 0.0).mcf <= 1e-12
 
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
-        evidence = generate(ProblemSpec(seed=12))
+        evidence = generate(ProblemSpec(), np.random.default_rng(12))
         path = tmp_path / "problem.txt"
         save_evidence(path, evidence)
         loaded = load_evidence(path)
@@ -109,7 +110,7 @@ class TestSerialization:
             assert a.frame == b.frame
 
     def test_explicit_frame_override(self, tmp_path):
-        evidence = generate(ProblemSpec(frame_size=3, seed=0))
+        evidence = generate(ProblemSpec(frame_size=3), np.random.default_rng(0))
         path = tmp_path / "problem.txt"
         save_evidence(path, evidence)
         loaded = load_evidence(path, frame=Frame(4))
