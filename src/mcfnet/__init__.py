@@ -29,6 +29,7 @@ from mcfnet.conflict import (
     cluster_conflict,
     metaconflict,
     evaluate_partition,
+    kernel_conflicts,
     refine_partition,
 )
 from mcfnet.network import (
@@ -76,7 +77,7 @@ __all__ = [
     "CommonalityTable", "commonality_table",
     "ConflictMatrix", "Partition", "McfReport",
     "conflict_matrix", "conflict_weight", "cluster_conflict",
-    "metaconflict", "evaluate_partition", "refine_partition",
+    "metaconflict", "evaluate_partition", "kernel_conflicts", "refine_partition",
     "HyperParams", "NetworkState", "DegenerateStartError",
     "init_state", "output_voltage", "step", "entropy",
     "has_converged", "is_crisp", "extract_partition",

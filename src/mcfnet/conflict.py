@@ -15,6 +15,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from mcfnet.evidence import (
+    ONE_MINUS_K_FLOOR,
+    CommonalityTable,
     FrameMismatchError,
     SimpleSupport,
     TotalConflictError,
@@ -158,8 +160,51 @@ def evaluate_partition(
     return McfReport(conflicts, c0, metaconflict(c0, conflicts))
 
 
+def kernel_conflicts(table: CommonalityTable, partition: Partition) -> np.ndarray:
+    """cluster_conflict of every cluster of a partition, from the commonality kernel.
+
+    table is the commonality table of the partitioned evidence.
+    """
+    assignment = np.asarray(partition.assignment)
+    columns = _cluster_columns(_factors(table), assignment, partition.n_clusters)
+    sizes = np.bincount(assignment, minlength=partition.n_clusters)
+    return _conflicts(table.coef @ columns, sizes)
+
+
+def _factors(table: CommonalityTable) -> np.ndarray:
+    """Commonality factor 1 - outside[:, i] * m_i of each piece of evidence i."""
+    return 1.0 - table.outside * table.masses
+
+
+def _cluster_columns(
+    factors: np.ndarray, assignment: np.ndarray, n_clusters: int
+) -> np.ndarray:
+    """One commonality column per cluster: the product of its members' factors.
+
+    1 - k of a cluster is coef @ its column.
+    """
+    return np.stack(
+        [factors[:, assignment == c].prod(axis=1) for c in range(n_clusters)], axis=1
+    )
+
+
+def _conflicts(one_minus_k: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Conflicts as cluster_conflict gives them, from 1 - k and member counts.
+
+    Fewer than two members score exactly 0; a 1 - k below the floor of
+    combine scores WEIGHT_CLAMP.  The signed sum can land a rounding error
+    outside [0, 1], so the rest is clipped.
+    """
+    c = np.where(
+        one_minus_k < ONE_MINUS_K_FLOOR,
+        WEIGHT_CLAMP,
+        np.clip(1.0 - one_minus_k, 0.0, 1.0),
+    )
+    return np.where(sizes < 2, 0.0, c)
+
+
 def refine_partition(
-    evidence: Sequence[SimpleSupport], partition: Partition
+    evidence: Sequence[SimpleSupport], partition: Partition, table: CommonalityTable
 ) -> Partition:
     """Greedy single-move descent on the metaconflict from a starting partition.
 
@@ -168,15 +213,20 @@ def refine_partition(
     already occupied in the starting partition, so the cluster count never
     increases.  Deterministic: rows and target clusters are scanned in index
     order and the best move per row is taken.
+
+    Candidates are scored from one commonality column per cluster over the
+    patterns of table, the commonality table of evidence: moving a piece
+    multiplies each target column by its factor, and its source column is
+    rebuilt without it.
     """
     if len(partition.assignment) != len(evidence):
         raise ValueError("partition length does not match evidence count")
     allowed = sorted(set(partition.assignment))
-    assignment = list(partition.assignment)
-    conflicts = [
-        cluster_conflict(evidence, [i for i, a in enumerate(assignment) if a == c])
-        for c in range(partition.n_clusters)
-    ]
+    assignment = np.array(partition.assignment)
+    factors = _factors(table)
+    columns = _cluster_columns(factors, assignment, partition.n_clusters)
+    sizes = np.bincount(assignment, minlength=partition.n_clusters)
+    conflicts = _conflicts(table.coef @ columns, sizes).tolist()
 
     def log_score(confs: Sequence[float]) -> float:
         return sum(conflict_weight(c) for c in confs)
@@ -186,32 +236,37 @@ def refine_partition(
     while improved:
         improved = False
         for m in range(len(evidence)):
-            source = assignment[m]
-            best_target, best_score, best_pair = source, current, None
-            for target in allowed:
-                if target == source:
-                    continue
-                src_members = [
-                    i for i, a in enumerate(assignment) if a == source and i != m
-                ]
-                dst_members = [
-                    i for i, a in enumerate(assignment) if a == target
-                ] + [m]
-                new_src = cluster_conflict(evidence, src_members)
-                new_dst = cluster_conflict(evidence, dst_members)
+            source = int(assignment[m])
+            targets = [t for t in allowed if t != source]
+            if not targets:
+                continue
+            staying = assignment == source
+            staying[m] = False
+            src_column = factors[:, staying].prod(axis=1)
+            dst_columns = columns[:, targets] * factors[:, m, None]
+            new = _conflicts(
+                table.coef @ np.column_stack([src_column, dst_columns]),
+                np.array([sizes[source] - 1] + [sizes[t] + 1 for t in targets]),
+            ).tolist()
+            new_src = new[0]
+            best_target, best_score, best_index = source, current, None
+            for index, target in enumerate(targets, start=1):
                 score = (
                     current
                     - conflict_weight(conflicts[source])
                     - conflict_weight(conflicts[target])
                     + conflict_weight(new_src)
-                    + conflict_weight(new_dst)
+                    + conflict_weight(new[index])
                 )
                 if score < best_score - 1e-15:
-                    best_target, best_score = target, score
-                    best_pair = (new_src, new_dst)
-            if best_pair is not None:
-                conflicts[source], conflicts[best_target] = best_pair
+                    best_target, best_score, best_index = target, score, index
+            if best_index is not None:
+                conflicts[source], conflicts[best_target] = new_src, new[best_index]
+                columns[:, source] = src_column
+                columns[:, best_target] = dst_columns[:, best_index - 1]
+                sizes[source] -= 1
+                sizes[best_target] += 1
                 assignment[m] = best_target
                 current = best_score
                 improved = True
-    return Partition(tuple(assignment), partition.n_clusters)
+    return Partition(tuple(assignment.tolist()), partition.n_clusters)

@@ -152,7 +152,8 @@ def run(
 
     tracing = config.trace_dir is not None
     weights = conflict_matrix(evidence)
-    table = commonality_table(evidence) if unknown else None
+    # One table serves the count layer and refinement.
+    table = commonality_table(evidence) if unknown or config.refine else None
     masses = np.array([e.mass for e in evidence])
     state = init_state(n, r_cols, params, noise_rng)
 
@@ -185,7 +186,7 @@ def run(
     network_partition = extract_partition(state)
     network_mcf = evaluate_partition(evidence, network_partition, 0.0).mcf
     if config.refine:
-        partition = refine_partition(evidence, network_partition)
+        partition = refine_partition(evidence, network_partition, table)
     else:
         partition = network_partition
     final_c0 = count_state.c0 if unknown and count_state is not None else 0.0
@@ -307,8 +308,8 @@ def batch(
     """Run n_seeds seeded problems in both modes and summarize.
 
     Matched seeds: the unknown-k and fixed-k runs of one seed share the
-    same random masses.  Per-run failures are recorded without aborting
-    the batch.
+    same random masses.  Per-run failures, an invalid config for one mode
+    among them, are recorded without aborting the batch.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
@@ -316,10 +317,9 @@ def batch(
     runs: list[dict] = []
     failures: list[dict] = []
     for mode in MODES:
-        mode_config = replace(config, mode=mode)
         for seed in seeds:
             try:
-                result = run(mode_config, seed=seed)
+                result = run(replace(config, mode=mode), seed=seed)
             except Exception as exc:  # record, keep going
                 failures.append({"mode": mode, "seed": seed, "error": str(exc)})
                 continue

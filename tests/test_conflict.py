@@ -4,23 +4,26 @@ from __future__ import annotations
 
 import math
 from itertools import product
+from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcfnet.conflict import (
+    WEIGHT_CLAMP,
     ConflictMatrix,
     Partition,
     cluster_conflict,
     conflict_matrix,
     conflict_weight,
     evaluate_partition,
+    kernel_conflicts,
     metaconflict,
     refine_partition,
 )
-from mcfnet.evidence import FocalSet, Frame, SimpleSupport
+from mcfnet.evidence import FocalSet, Frame, SimpleSupport, commonality_table
 from mcfnet.problems import ProblemSpec, canonical_partition, generate
 from tests.conftest import random_ssf
 
@@ -222,6 +225,87 @@ class TestMonotoneTransformEquivalence:
         assert argmin_mcf == argmin_log
 
 
+def refine(evidence: Sequence[SimpleSupport], partition: Partition) -> Partition:
+    return refine_partition(evidence, partition, commonality_table(evidence))
+
+
+# Far above the rounding error of a score, far below a real improvement.
+NOISE = 1e-12
+
+
+def _reference_refine(
+    evidence: Sequence[SimpleSupport], partition: Partition
+) -> tuple[Partition, bool]:
+    """The greedy loop of refine_partition, every candidate re-folded with combine.
+
+    Also returns whether some candidate scored within NOISE of the best
+    score so far: a decision made on rounding error, ties included, which
+    the same loop with other rounding may make the other way.
+    """
+    allowed = sorted(set(partition.assignment))
+    assignment = list(partition.assignment)
+    conflicts = [
+        cluster_conflict(evidence, [i for i, a in enumerate(assignment) if a == c])
+        for c in range(partition.n_clusters)
+    ]
+    current = sum(conflict_weight(c) for c in conflicts)
+    noisy = False
+    improved = True
+    while improved:
+        improved = False
+        for m in range(len(evidence)):
+            source = assignment[m]
+            best_target, best_score, best_pair = source, current, None
+            for target in allowed:
+                if target == source:
+                    continue
+                src_members = [
+                    i for i, a in enumerate(assignment) if a == source and i != m
+                ]
+                dst_members = [
+                    i for i, a in enumerate(assignment) if a == target
+                ] + [m]
+                new_src = cluster_conflict(evidence, src_members)
+                new_dst = cluster_conflict(evidence, dst_members)
+                score = (
+                    current
+                    - conflict_weight(conflicts[source])
+                    - conflict_weight(conflicts[target])
+                    + conflict_weight(new_src)
+                    + conflict_weight(new_dst)
+                )
+                noisy = noisy or abs(best_score - score) < NOISE
+                if score < best_score - 1e-15:
+                    best_target, best_score = target, score
+                    best_pair = (new_src, new_dst)
+            if best_pair is not None:
+                conflicts[source], conflicts[best_target] = best_pair
+                assignment[m] = best_target
+                current = best_score
+                improved = True
+    return Partition(tuple(assignment), partition.n_clusters), noisy
+
+
+@st.composite
+def refine_cases(draw, masses):
+    """Evidence over a frame of 1-6 elements and a random starting partition."""
+    frame = Frame(draw(st.integers(1, 6)))
+    n = draw(st.integers(1, 14))
+    evidence = [
+        SimpleSupport(
+            FocalSet(draw(st.integers(1, frame.full_mask)), frame), draw(masses), id=i
+        )
+        for i in range(n)
+    ]
+    n_clusters = draw(st.integers(1, 5))
+    assignment = draw(st.lists(st.integers(0, n_clusters - 1), min_size=n, max_size=n))
+    return evidence, Partition(tuple(assignment), n_clusters)
+
+
+BELOW_ONE = st.floats(0.0, 0.9, exclude_min=True)
+UP_TO_ONE = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
+
+
 class TestRefinePartition:
     def test_never_increases_mcf_and_never_adds_clusters(self):
         for seed in range(10):
@@ -229,7 +313,7 @@ class TestRefinePartition:
             f = Frame(4)
             evidence = [random_ssf(f, rng, i) for i in range(8)]
             start = Partition(tuple(rng.integers(0, 4, size=8)), 4)
-            refined = refine_partition(evidence, start)
+            refined = refine(evidence, start)
             before = evaluate_partition(evidence, start, 0.0).mcf
             after = evaluate_partition(evidence, refined, 0.0).mcf
             assert after <= before + 1e-12
@@ -239,7 +323,7 @@ class TestRefinePartition:
         spec = ProblemSpec()
         evidence = generate(spec, np.random.default_rng(5))
         part = canonical_partition(evidence, spec.frame())
-        assert refine_partition(evidence, part).assignment == part.assignment
+        assert refine(evidence, part).assignment == part.assignment
 
     def test_repairs_a_single_misassignment(self):
         spec = ProblemSpec()
@@ -247,5 +331,52 @@ class TestRefinePartition:
         part = canonical_partition(evidence, spec.frame())
         broken = list(part.assignment)
         broken[0] = (broken[0] + 1) % 5  # evidence {1} moved off its element
-        refined = refine_partition(evidence, Partition(tuple(broken), 5))
+        refined = refine(evidence, Partition(tuple(broken), 5))
         assert evaluate_partition(evidence, refined, 0.0).mcf <= 1e-12
+
+    def test_length_mismatch(self):
+        f = Frame(2)
+        evidence = [ssf(f, [1], 0.5)]
+        with pytest.raises(ValueError):
+            refine_partition(evidence, Partition((0, 0), 1), commonality_table(evidence))
+
+    @given(refine_cases(BELOW_ONE))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_combine_loop_below_mass_one(self, case):
+        # Where the loop decides on rounding error (a candidate within
+        # NOISE of the best score, ties included), the kernel's rounding may
+        # decide otherwise; every other decision must agree.
+        evidence, start = case
+        expected, noisy = _reference_refine(evidence, start)
+        assume(not noisy)
+        assert refine(evidence, start) == expected
+
+    @given(refine_cases(UP_TO_ONE))
+    @settings(max_examples=300, deadline=None)
+    def test_masses_of_one_never_worsen_or_add_clusters(self, case):
+        # Near total conflict the kernel's signed sum keeps less relative
+        # precision than combine, so the greedy path may differ from the
+        # combine loop; the descent must still hold.
+        evidence, start = case
+        refined = refine(evidence, start)
+        before = evaluate_partition(evidence, start, 0.0).mcf
+        after = evaluate_partition(evidence, refined, 0.0).mcf
+        assert after <= before + 1e-12
+        assert set(refined.assignment) <= set(start.assignment)
+
+    @given(refine_cases(UP_TO_ONE))
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_conflicts_match_cluster_conflict(self, case):
+        evidence, part = case
+        kernel = kernel_conflicts(commonality_table(evidence), part)
+        for c in range(part.n_clusters):
+            members = part.members(c)
+            assert abs(kernel[c] - cluster_conflict(evidence, members)) <= 1e-12
+            if len(members) < 2:
+                assert kernel[c] == 0.0
+
+    def test_kernel_conflicts_of_singletons_and_total_conflict(self):
+        f = Frame(3)
+        evidence = [ssf(f, [1], 1.0), ssf(f, [2], 1.0), ssf(f, [3], 0.5)]
+        kernel = kernel_conflicts(commonality_table(evidence), Partition((0, 0, 1), 3))
+        assert kernel.tolist() == [WEIGHT_CLAMP, 0.0, 0.0]

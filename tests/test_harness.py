@@ -177,6 +177,24 @@ class TestRun:
         with pytest.raises(ValueError, match="at most 16"):
             run(config, seed=0, evidence=evidence)
 
+    def test_fixed_k_refinement_rejects_a_frame_above_the_table_cap(self):
+        # Refinement scores moves from the commonality table, so a fixed-k
+        # run builds it too when it refines.
+        evidence = [SimpleSupport(FocalSet(1, Frame(17)), 0.5),
+                    SimpleSupport(FocalSet(2, Frame(17)), 0.5)]
+        config = RunConfig(problem=ProblemSpec(frame_size=17), mode="fixed-k", fixed_k=2)
+        with pytest.raises(ValueError, match="at most 16"):
+            run(config, seed=0, evidence=evidence)
+
+    def test_fixed_k_without_refinement_runs_above_the_table_cap(self):
+        evidence = [SimpleSupport(FocalSet(1, Frame(17)), 0.5),
+                    SimpleSupport(FocalSet(2, Frame(17)), 0.5)]
+        config = RunConfig(problem=ProblemSpec(frame_size=17), mode="fixed-k",
+                           fixed_k=2, refine=False)
+        result = run(config, seed=0, evidence=evidence)
+        assert len(result.partition.assignment) == 2
+        assert result.partition == result.network_partition
+
 
 class TestRunFuzz:
     @given(
@@ -307,6 +325,18 @@ class TestBatch:
         summary, _ = small_batch
         again = batch(RunConfig(), n_seeds=2, base_seed=0)
         assert strip_timing(summary) == strip_timing(again)
+
+    def test_invalid_fixed_k_is_a_per_seed_failure(self):
+        # A frame of 2 has 3 pieces of evidence, fewer than the default k of
+        # 5: the fixed-k runs fail, the unknown-k runs still happen.
+        summary = batch(RunConfig(problem=ProblemSpec(frame_size=2)), n_seeds=2)
+        assert summary.per_mode["unknown-k"]["n_runs"] == 2
+        assert summary.per_mode["fixed-k"] == {"n_runs": 0}
+        assert summary.failures == [
+            {"mode": "fixed-k", "seed": seed,
+             "error": "fixed_k must be in [2, evidence count]"}
+            for seed in (0, 1)
+        ]
 
     def test_n_seeds_validation(self):
         with pytest.raises(ValueError):
