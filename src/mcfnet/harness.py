@@ -30,6 +30,7 @@ from mcfnet.evidence import SimpleSupport, commonality_table
 from mcfnet.network import (
     RESEAT_DELAY,
     HyperParams,
+    coupling_matrix,
     entropy,
     extract_partition,
     has_converged,
@@ -152,6 +153,7 @@ def run(
 
     tracing = config.trace_dir is not None
     weights = conflict_matrix(evidence)
+    coupling = coupling_matrix(weights, params)
     # One table serves the count layer and refinement.
     table = commonality_table(evidence) if unknown or config.refine else None
     masses = np.array([e.mass for e in evidence])
@@ -175,8 +177,8 @@ def run(
         if has_converged(state, params):
             break
         gd = count_state.gd if unknown else None
-        previous_u = state.u.copy()
-        state = step(state, weights, gd, params)
+        previous_u = state.u  # step leaves state unchanged
+        state = step(state, coupling, gd, params, alpha)
         if state.t > RESEAT_DELAY and is_stalled(previous_u, state, params):
             reseated = reseat_stalled_row(state, weights, masses, gd, params)
             if reseated is not None:

@@ -10,7 +10,7 @@ input voltage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -97,10 +97,11 @@ def output_voltage(u, u0: float):
 
 
 def raw_entropy(v: np.ndarray) -> float:
-    """-sum V ln V over all neurons, with 0 ln 0 = 0."""
+    """-sum V ln V over all neurons of a grid in [0, 1], with 0 ln 0 = 0."""
     v = np.asarray(v, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(v > 0.0, -v * np.log(v), 0.0)
+    terms = np.log(v, out=np.zeros_like(v), where=v > 0.0)
+    terms *= v
+    np.negative(terms, out=terms)
     return float(terms.sum())
 
 
@@ -149,14 +150,17 @@ def domain_drive(gd: np.ndarray) -> np.ndarray:
 
 def step(
     state: NetworkState,
-    weights: ConflictMatrix,
+    coupling: np.ndarray,
     gd: np.ndarray | None,
     params: HyperParams,
+    alpha: float,
 ) -> NetworkState:
     """One synchronous update of every neuron from the previous iteration's voltages.
 
-    gd = None drops the domain term entirely (the fixed-cluster-count
-    baseline network).
+    coupling is coupling_matrix(weights, params), built once per run, and
+    alpha is the normalized entropy of state (see entropy()).  gd = None
+    drops the domain term entirely (the fixed-cluster-count baseline
+    network).  The input state is left unchanged.
 
     Two stabilizers keep the analog search responsive: the excitation bias
     is annealed downward by eb_anneal * (1 - alpha), which shrinks the
@@ -164,32 +168,28 @@ def step(
     and |u| is clamped to u_clamp * u0 so saturated neurons can still react
     within a few iterations.
     """
-    if weights.n != state.rows:
-        raise ValueError("conflict matrix size does not match evidence count")
+    if coupling.shape != (state.rows, state.rows):
+        raise ValueError("coupling matrix size does not match evidence count")
     v = state.v
-    coupling = coupling_matrix(weights, params)
-    t1 = coupling.T @ v
-    t2 = (params.ri + params.gi) * (v.sum(axis=1, keepdims=True) - v)
+    total = coupling.T @ v
+    total += (params.ri + params.gi) * (v.sum(axis=1, keepdims=True) - v)
     eb = params.eb
     if params.eb_anneal > 0.0:
-        _, alpha = entropy(state)
         eb = eb - (1.0 - alpha) * params.eb_anneal
-    total = t1 + t2 + eb
+    total += eb
     if gd is not None:
         gd = np.asarray(gd, dtype=float)
         if gd.shape != (state.cols,):
             raise ValueError("gd must have one value per column")
-        total = total + (params.dom_ti + params.gi) * domain_drive(gd)
-    u_new = state.u + params.eta * (total - state.u)
+        total += (params.dom_ti + params.gi) * domain_drive(gd)
+    # u + eta * (total - u), computed in the buffer of total.
+    total -= state.u
+    total *= params.eta
+    total += state.u
     if params.u_clamp > 0.0:
         bound = params.u_clamp * params.u0
-        np.clip(u_new, -bound, bound, out=u_new)
-    return replace(
-        state,
-        u=u_new,
-        v=output_voltage(u_new, params.u0),
-        t=state.t + 1,
-    )
+        np.clip(total, -bound, bound, out=total)
+    return NetworkState(total, output_voltage(total, params.u0), state.t + 1, state.entropy0)
 
 
 def entropy(state: NetworkState) -> tuple[float, float]:
@@ -206,16 +206,26 @@ def entropy(state: NetworkState) -> tuple[float, float]:
 
 
 def crisp_rows(state: NetworkState, params: HyperParams) -> np.ndarray:
-    """Rows with exactly one winner >= v_high and every other voltage <= v_low."""
+    """Rows with exactly one voltage above v_low and a maximum at or above v_high.
+
+    As v_low < v_high, that voltage is the row's one winner (>= v_high)
+    and every other voltage is a loser (<= v_low).
+    """
     v = state.v
-    winners = v >= params.v_high
-    losers = v <= params.v_low
-    return (winners.sum(axis=1) == 1) & np.all(winners | losers, axis=1)
+    return ((v > params.v_low).sum(axis=1) == 1) & (v.max(axis=1) >= params.v_high)
 
 
 def is_crisp(state: NetworkState, params: HyperParams) -> bool:
-    """True when every row is crisp."""
-    return bool(crisp_rows(state, params).all())
+    """True when every row is crisp.
+
+    Every row max at or above v_high puts at least one voltage above v_low
+    in each row, so one such voltage per row in all is exactly one in each.
+    """
+    v = state.v
+    return bool(
+        np.count_nonzero(v > params.v_low) == state.rows
+        and (v.max(axis=1) >= params.v_high).all()
+    )
 
 
 def has_converged(state: NetworkState, params: HyperParams) -> bool:
@@ -262,10 +272,12 @@ def reseat_stalled_row(
         score = score + (params.dom_ti + params.gi) * domain_drive(gd)
     best = int(np.argmax(score))
     bound = (params.u_clamp if params.u_clamp > 0.0 else 5.0) * params.u0
-    u_new = state.u.copy()
-    u_new[m] = -bound
-    u_new[m, best] = bound
-    return replace(state, u=u_new, v=output_voltage(u_new, params.u0))
+    u = state.u.copy()
+    u[m] = -bound
+    u[m, best] = bound
+    v = v.copy()
+    v[m] = output_voltage(u[m], params.u0)
+    return NetworkState(u, v, state.t, state.entropy0)
 
 
 def extract_partition(state: NetworkState) -> Partition:

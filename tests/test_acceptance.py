@@ -19,7 +19,14 @@ from mcfnet.counts import (
 )
 from mcfnet.evidence import Frame, combine
 from mcfnet.harness import RunConfig, run
-from mcfnet.network import HyperParams, init_state, output_voltage, step
+from mcfnet.network import (
+    HyperParams,
+    coupling_matrix,
+    entropy,
+    init_state,
+    output_voltage,
+    step,
+)
 from mcfnet.problems import ProblemSpec, canonical_partition, generate
 from tests.conftest import (
     brute_force_at_least,
@@ -203,14 +210,14 @@ class TestCriterion9PropertySuites:
         params = HyperParams()
         frame = Frame(4)
         evidence = [random_ssf(frame, rng, i) for i in range(6)]
-        weights = conflict_matrix(evidence)
+        coupling = coupling_matrix(conflict_matrix(evidence), params)
         gd = np.full(3, 1.0 / 3.0)
         for _ in range(self.CASES):
             seed = int(rng.integers(0, 2**31))
             a = init_state(6, 3, params, np.random.default_rng(seed))
             b = init_state(6, 3, params, np.random.default_rng(seed))
             assert np.array_equal(a.u, b.u)
-            sa = step(a, weights, gd, params)
-            sb = step(b, weights, gd, params)
+            sa = step(a, coupling, gd, params, entropy(a)[1])
+            sb = step(b, coupling, gd, params, entropy(b)[1])
             assert np.array_equal(sa.u, sb.u)
         check(9, True, f"seed determinism held on {self.CASES} cases")

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcfnet.conflict import (
+    MOVE_MARGIN,
     WEIGHT_CLAMP,
     ConflictMatrix,
     Partition,
@@ -233,14 +234,20 @@ def refine(evidence: Sequence[SimpleSupport], partition: Partition) -> Partition
 NOISE = 1e-12
 
 
+def _accepts(score: float, best_score: float) -> bool:
+    """refine_partition's acceptance rule."""
+    return score < best_score - MOVE_MARGIN * max(1.0, abs(best_score))
+
+
 def _reference_refine(
     evidence: Sequence[SimpleSupport], partition: Partition
 ) -> tuple[Partition, bool]:
     """The greedy loop of refine_partition, every candidate re-folded with combine.
 
-    Also returns whether some candidate scored within NOISE of the best
-    score so far: a decision made on rounding error, ties included, which
-    the same loop with other rounding may make the other way.
+    Also returns whether some candidate's improvement on the best score so
+    far came within NOISE of the acceptance margin: a decision made on
+    rounding error, which the same loop with other rounding may make the
+    other way.  Ties fall far short of the margin and are decided alike.
     """
     allowed = sorted(set(partition.assignment))
     assignment = list(partition.assignment)
@@ -274,8 +281,9 @@ def _reference_refine(
                     + conflict_weight(new_src)
                     + conflict_weight(new_dst)
                 )
-                noisy = noisy or abs(best_score - score) < NOISE
-                if score < best_score - 1e-15:
+                margin = MOVE_MARGIN * max(1.0, abs(best_score))
+                noisy = noisy or abs(best_score - score - margin) < NOISE
+                if _accepts(score, best_score):
                     best_target, best_score = target, score
                     best_pair = (new_src, new_dst)
             if best_pair is not None:
@@ -333,6 +341,19 @@ class TestRefinePartition:
         broken[0] = (broken[0] + 1) % 5  # evidence {1} moved off its element
         refined = refine(evidence, Partition(tuple(broken), 5))
         assert evaluate_partition(evidence, refined, 0.0).mcf <= 1e-12
+
+    def test_no_move_decided_by_rounding_error(self):
+        # Found by a seeded random search.  Piece 1 is on the whole frame and
+        # conflicts with nothing, so moving it changes no cluster's conflict;
+        # an absolute margin of 1e-15 still took that move, on a score
+        # lowered by rounding error alone.
+        f = Frame(2)
+        pieces = [(2, 0.95), (3, 0.5), (2, 0.49791513242103913), (1, 0.4855361370737755),
+                  (1, 0.95), (1, 0.9), (2, 0.38301974399769795)]
+        evidence = [SimpleSupport(FocalSet(bits, f), m, id=i) for i, (bits, m) in enumerate(pieces)]
+        refined = refine(evidence, Partition((0, 1, 1, 1, 0, 1, 1), 2))
+        assert refined.assignment == (1, 1, 1, 0, 0, 0, 1)
+        assert evaluate_partition(evidence, refined, 0.0).mcf == 0.0
 
     def test_length_mismatch(self):
         f = Frame(2)

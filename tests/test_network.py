@@ -35,6 +35,12 @@ def zero_weights(n: int) -> ConflictMatrix:
     return ConflictMatrix(np.zeros((n, n)))
 
 
+def advance(state: NetworkState, weights: ConflictMatrix, gd, params: HyperParams) -> NetworkState:
+    """One step as a run takes it: coupling from weights, alpha from the state's entropy."""
+    _, alpha = entropy(state)
+    return step(state, coupling_matrix(weights, params), gd, params, alpha)
+
+
 def manual_state(u: np.ndarray, v: np.ndarray | None = None, t: int = 0,
                  entropy0: float = 1.0) -> NetworkState:
     u = np.asarray(u, dtype=float)
@@ -129,7 +135,7 @@ class TestStep:
         # the five-term rule.
         params = HyperParams(eb_anneal=0.0, u_clamp=0.0)
         state = manual_state(np.zeros((3, 2)), v=np.zeros((3, 2)))
-        new = step(state, zero_weights(3), np.zeros(2), params)
+        new = advance(state, zero_weights(3), np.zeros(2), params)
         assert np.allclose(new.u, params.eta * params.eb, atol=1e-15)
         assert new.t == 1
 
@@ -137,7 +143,7 @@ class TestStep:
         # A dark grid has zero entropy, so the annealed bias is eb - eb_anneal.
         params = HyperParams()
         state = manual_state(np.zeros((3, 2)), v=np.zeros((3, 2)))
-        new = step(state, zero_weights(3), np.zeros(2), params)
+        new = advance(state, zero_weights(3), np.zeros(2), params)
         expected = params.eta * (params.eb - params.eb_anneal)
         assert np.allclose(new.u, expected, atol=1e-15)
 
@@ -145,7 +151,7 @@ class TestStep:
         params = HyperParams(eta=0.0)
         rng = np.random.default_rng(0)
         state = init_state(5, 3, params, rng)
-        new = step(state, zero_weights(5), np.full(3, 0.2), params)
+        new = advance(state, zero_weights(5), np.full(3, 0.2), params)
         assert np.array_equal(new.u, state.u)
         assert new.t == state.t + 1
 
@@ -156,22 +162,22 @@ class TestStep:
         state = init_state(2, 2, params, np.random.default_rng(0))
         low = ConflictMatrix(np.array([[0.0, 0.1], [0.1, 0.0]]))
         high = ConflictMatrix(np.array([[0.0, 0.9], [0.9, 0.0]]))
-        u_low = step(state, low, None, params).u
-        u_high = step(state, high, None, params).u
+        u_low = advance(state, low, None, params).u
+        u_high = advance(state, high, None, params).u
         assert np.all(u_high <= u_low)
 
     def test_dimension_mismatch(self):
         params = HyperParams()
         state = manual_state(np.zeros((3, 2)))
         with pytest.raises(ValueError):
-            step(state, zero_weights(4), None, params)
+            step(state, coupling_matrix(zero_weights(4), params), None, params, 1.0)
         with pytest.raises(ValueError):
-            step(state, zero_weights(3), np.zeros(5), params)
+            step(state, coupling_matrix(zero_weights(3), params), np.zeros(5), params, 1.0)
 
     def test_clamp_bounds_input_voltage(self):
         params = HyperParams(eta=1.0)  # huge gain to force saturation
         state = manual_state(np.zeros((2, 2)), v=np.ones((2, 2)))
-        new = step(state, zero_weights(2), None, params)
+        new = advance(state, zero_weights(2), None, params)
         bound = params.u_clamp * params.u0
         assert np.all(np.abs(new.u) <= bound + 1e-15)
 
@@ -186,7 +192,7 @@ class TestStep:
         for _ in range(2):
             state = init_state(6, 3, params, np.random.default_rng(123))
             for _ in range(10):
-                state = step(state, weights, gd, params)
+                state = advance(state, weights, gd, params)
             trajectories.append(state.u.copy())
         assert np.array_equal(trajectories[0], trajectories[1])
 
@@ -198,7 +204,7 @@ class TestStep:
         weights = conflict_matrix(evidence)
         state = init_state(10, 4, params, rng)
         for _ in range(25):
-            state = step(state, weights, None, params)
+            state = advance(state, weights, None, params)
             assert np.all(state.v >= 0.0) and np.all(state.v <= 1.0)
             assert np.allclose(state.v, output_voltage(state.u, params.u0))
 
@@ -340,3 +346,176 @@ class TestHyperParamsValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             HyperParams(**kwargs)
+
+
+# Reference formulas: the update, entropy, crispness and reseat as first
+# written, rebuilding the coupling, the entropy and the whole output grid on
+# every call.  The library's versions must agree with them bit for bit.
+
+
+def _reference_raw_entropy(v: np.ndarray) -> float:
+    v = np.asarray(v, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(v > 0.0, -v * np.log(v), 0.0)
+    return float(terms.sum())
+
+
+def _reference_step(state, weights, gd, params) -> NetworkState:
+    v = state.v
+    coupling = params.dti * weights.log_weights + params.gi
+    t1 = coupling.T @ v
+    t2 = (params.ri + params.gi) * (v.sum(axis=1, keepdims=True) - v)
+    eb = params.eb
+    if params.eb_anneal > 0.0:
+        raw = _reference_raw_entropy(v)
+        alpha = min(max(raw / state.entropy0, 0.0), 1.0)
+        eb = eb - (1.0 - alpha) * params.eb_anneal
+    total = t1 + t2 + eb
+    if gd is not None:
+        total = total + (params.dom_ti + params.gi) * domain_drive(gd)
+    u_new = state.u + params.eta * (total - state.u)
+    if params.u_clamp > 0.0:
+        bound = params.u_clamp * params.u0
+        np.clip(u_new, -bound, bound, out=u_new)
+    return NetworkState(u_new, output_voltage(u_new, params.u0), state.t + 1, state.entropy0)
+
+
+def _reference_crisp_rows(v: np.ndarray, params: HyperParams) -> np.ndarray:
+    winners = v >= params.v_high
+    losers = v <= params.v_low
+    return (winners.sum(axis=1) == 1) & np.all(winners | losers, axis=1)
+
+
+def _reference_reseat(state, weights, masses, gd, params) -> NetworkState | None:
+    candidates = np.flatnonzero(~_reference_crisp_rows(state.v, params))
+    if candidates.size == 0:
+        return None
+    m = int(candidates[np.argmax(masses[candidates])])
+    v = state.v
+    score = (
+        params.dti * (weights.log_weights[m] @ v)
+        + params.gi * (v.sum(axis=0) - v[m])
+    )
+    if gd is not None:
+        score = score + (params.dom_ti + params.gi) * domain_drive(gd)
+    best = int(np.argmax(score))
+    bound = (params.u_clamp if params.u_clamp > 0.0 else 5.0) * params.u0
+    u_new = state.u.copy()
+    u_new[m] = -bound
+    u_new[m, best] = bound
+    return NetworkState(u_new, output_voltage(u_new, params.u0), state.t, state.entropy0)
+
+
+UNIT = st.floats(0.0, 1.0)
+# Voltages that include exact 0 and 1 (reached with u_clamp = 0) and values
+# either side of the default crispness thresholds.
+VOLTAGE = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.01, 0.99, math.nextafter(0.01, 1.0), math.nextafter(0.99, 0.0)]),
+    UNIT,
+)
+# Input voltages from the middle of the sigmoid out to where tanh saturates.
+INPUT = st.one_of(st.floats(-0.15, 0.15), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def grids(draw, values):
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(2, 6))
+    return np.array([[draw(values) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def network_cases(draw):
+    """A state, its conflict matrix, an optional gd, and gains with every stabilizer on or off."""
+    u = draw(grids(INPUT))
+    rows, cols = u.shape
+    entries = np.zeros((rows, rows))
+    for i in range(rows):
+        for j in range(i + 1, rows):
+            entries[i, j] = entries[j, i] = draw(UNIT)
+    gd = draw(st.one_of(st.none(), st.lists(UNIT, min_size=cols, max_size=cols)))
+    params = HyperParams(
+        eta=draw(st.sampled_from([1e-5, 1e-3, 0.5])),
+        u_clamp=draw(st.one_of(st.just(0.0), st.floats(0.5, 10.0))),
+        eb_anneal=draw(st.one_of(st.just(0.0), st.floats(1.0, 1000.0))),
+    )
+    state = NetworkState(u, output_voltage(u, params.u0), draw(st.integers(0, 999)),
+                         draw(st.floats(0.1, 100.0)))
+    return state, ConflictMatrix(entries), None if gd is None else np.array(gd), params
+
+
+class TestAgainstReferenceFormulas:
+    @given(network_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_step_is_bit_identical(self, case):
+        state, weights, gd, params = case
+        u_before, v_before = state.u.copy(), state.v.copy()
+        new = advance(state, weights, gd, params)
+        expected = _reference_step(state, weights, gd, params)
+        assert np.array_equal(new.u, expected.u)
+        assert np.array_equal(new.v, expected.v)
+        assert (new.t, new.entropy0) == (expected.t, expected.entropy0)
+        assert np.array_equal(state.u, u_before) and np.array_equal(state.v, v_before)
+
+    @given(grids(VOLTAGE))
+    @settings(max_examples=400, deadline=None)
+    def test_raw_entropy_is_bit_identical(self, v):
+        # repr tells -0.0 from 0.0 as well.
+        assert repr(raw_entropy(v)) == repr(_reference_raw_entropy(v))
+
+    def test_raw_entropy_of_a_saturated_grid(self):
+        # Without the clamp, tanh saturates to exact 0 and 1 voltages.
+        params = HyperParams(u_clamp=0.0)
+        u = np.array([[-1.0, 1.0, 0.0], [0.03, -1.0, 1.0]])
+        v = output_voltage(u, params.u0)
+        assert {0.0, 1.0} <= set(v.ravel().tolist())
+        assert repr(raw_entropy(v)) == repr(_reference_raw_entropy(v))
+        assert raw_entropy(np.ones((2, 2))) == 0.0
+        assert raw_entropy(np.zeros((2, 2))) == 0.0
+
+    @given(grids(VOLTAGE), st.sampled_from([(0.01, 0.99), (0.2, 0.5), (0.0, 1.0)]))
+    @settings(max_examples=400, deadline=None)
+    def test_crisp_rows_match_the_two_masks(self, v, thresholds):
+        params = HyperParams(v_low=thresholds[0], v_high=thresholds[1])
+        state = manual_state(np.zeros_like(v), v=v)
+        expected = _reference_crisp_rows(v, params)
+        assert crisp_rows(state, params).tolist() == expected.tolist()
+        assert is_crisp(state, params) == bool(expected.all())
+
+    def test_crispness_at_the_thresholds(self):
+        params = HyperParams()
+        lo, hi = params.v_low, params.v_high
+        v = np.array([
+            [hi, lo, lo],                       # crisp: both bounds inclusive
+            [math.nextafter(hi, 0.0), lo, lo],  # winner just short
+            [hi, math.nextafter(lo, 1.0), lo],  # loser just too bright
+            [hi, hi, lo],                       # two winners
+            [1.0, 0.0, 0.0],
+        ])
+        state = manual_state(np.zeros_like(v), v=v)
+        assert crisp_rows(state, params).tolist() == [True, False, False, False, True]
+        assert is_crisp(state, params) is False
+        assert is_crisp(manual_state(np.zeros((2, 3)), v=v[[0, 4]]), params) is True
+
+    @given(network_cases(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_reseat_rewrites_one_row(self, case, data):
+        state, weights, gd, params = case
+        masses = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=state.rows,
+                                             max_size=state.rows)))
+        u_before, v_before = state.u.copy(), state.v.copy()
+        out = reseat_stalled_row(state, weights, masses, gd, params)
+        assert np.array_equal(state.u, u_before) and np.array_equal(state.v, v_before)
+        expected = _reference_reseat(state, weights, masses, gd, params)
+        if expected is None:
+            assert out is None
+            return
+        assert np.array_equal(out.u, expected.u)
+        assert np.array_equal(out.v, expected.v)
+        assert np.array_equal(out.v, output_voltage(out.u, params.u0))
+        changed = np.flatnonzero(np.any(out.u != state.u, axis=1) | np.any(out.v != state.v, axis=1))
+        assert changed.size <= 1
+        others = np.arange(state.rows) != (changed[0] if changed.size else -1)
+        assert np.array_equal(out.u[others], state.u[others])
+        assert np.array_equal(out.v[others], state.v[others])
+        assert (out.t, out.entropy0) == (state.t, state.entropy0)
