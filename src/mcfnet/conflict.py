@@ -27,9 +27,6 @@ from mcfnet.evidence import (
 # Conflicts are clamped just below 1 before the log so mass-1 disjoint pairs
 # still produce finite network weights.
 WEIGHT_CLAMP = 1.0 - 1e-12
-# A refinement move must lower the log score by more than this share of the
-# score's magnitude (at least 1), well above the score's rounding error.
-MOVE_MARGIN = 1e-12
 
 
 def conflict_weight(c: float) -> float:
@@ -212,11 +209,10 @@ def refine_partition(
     """Greedy single-move descent on the metaconflict from a starting partition.
 
     Repeatedly moves one piece of evidence to another cluster while any move
-    lowers the log score by more than MOVE_MARGIN relative to its magnitude,
-    so that no move is decided by rounding error.  Moves are restricted to the clusters
-    already occupied in the starting partition, so the cluster count never
-    increases.  Deterministic: rows and target clusters are scanned in index
-    order and the best move per row is taken.
+    lowers the log score by more than 1e-12 * max(1, |score|).  Moves stay in
+    the clusters occupied in the starting partition, so the cluster count
+    never increases.  Deterministic: rows and target clusters are scanned in
+    index order and the best move per row is taken.
 
     Candidates are scored from one commonality column per cluster over the
     patterns of table, the commonality table of evidence: moving a piece
@@ -262,7 +258,7 @@ def refine_partition(
                     + conflict_weight(new_src)
                     + conflict_weight(new[index])
                 )
-                if score < best_score - MOVE_MARGIN * max(1.0, abs(best_score)):
+                if score < best_score - 1e-12 * max(1.0, abs(best_score)):
                     best_target, best_score, best_index = target, score, index
             if best_index is not None:
                 conflicts[source], conflicts[best_target] = new_src, new[best_index]

@@ -99,9 +99,7 @@ def output_voltage(u, u0: float):
 def raw_entropy(v: np.ndarray) -> float:
     """-sum V ln V over all neurons of a grid in [0, 1], with 0 ln 0 = 0."""
     v = np.asarray(v, dtype=float)
-    terms = np.log(v, out=np.zeros_like(v), where=v > 0.0)
-    terms *= v
-    np.negative(terms, out=terms)
+    terms = -v * np.log(v, out=np.zeros_like(v), where=v > 0.0)
     return float(terms.sum())
 
 
@@ -157,10 +155,9 @@ def step(
 ) -> NetworkState:
     """One synchronous update of every neuron from the previous iteration's voltages.
 
-    coupling is coupling_matrix(weights, params), built once per run, and
-    alpha is the normalized entropy of state (see entropy()).  gd = None
-    drops the domain term entirely (the fixed-cluster-count baseline
-    network).  The input state is left unchanged.
+    coupling is coupling_matrix(weights, params) and alpha the normalized
+    entropy of state; state is left unchanged.  gd = None drops the domain
+    term entirely (the fixed-cluster-count baseline network).
 
     Two stabilizers keep the analog search responsive: the excitation bias
     is annealed downward by eb_anneal * (1 - alpha), which shrinks the
@@ -182,7 +179,6 @@ def step(
         if gd.shape != (state.cols,):
             raise ValueError("gd must have one value per column")
         total += (params.dom_ti + params.gi) * domain_drive(gd)
-    # u + eta * (total - u), computed in the buffer of total.
     total -= state.u
     total *= params.eta
     total += state.u
@@ -206,26 +202,16 @@ def entropy(state: NetworkState) -> tuple[float, float]:
 
 
 def crisp_rows(state: NetworkState, params: HyperParams) -> np.ndarray:
-    """Rows with exactly one voltage above v_low and a maximum at or above v_high.
-
-    As v_low < v_high, that voltage is the row's one winner (>= v_high)
-    and every other voltage is a loser (<= v_low).
-    """
+    """Rows with exactly one voltage above v_low, the row max, at or above v_high."""
     v = state.v
     return ((v > params.v_low).sum(axis=1) == 1) & (v.max(axis=1) >= params.v_high)
 
 
 def is_crisp(state: NetworkState, params: HyperParams) -> bool:
-    """True when every row is crisp.
-
-    Every row max at or above v_high puts at least one voltage above v_low
-    in each row, so one such voltage per row in all is exactly one in each.
-    """
+    """True when the grid holds one voltage above v_low per row and every row max is >= v_high."""
     v = state.v
-    return bool(
-        np.count_nonzero(v > params.v_low) == state.rows
-        and (v.max(axis=1) >= params.v_high).all()
-    )
+    return bool(np.count_nonzero(v > params.v_low) == state.rows
+                and (v.max(axis=1) >= params.v_high).all())
 
 
 def has_converged(state: NetworkState, params: HyperParams) -> bool:

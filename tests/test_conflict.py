@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcfnet.conflict import (
-    MOVE_MARGIN,
     WEIGHT_CLAMP,
     ConflictMatrix,
     Partition,
@@ -232,6 +231,8 @@ def refine(evidence: Sequence[SimpleSupport], partition: Partition) -> Partition
 
 # Far above the rounding error of a score, far below a real improvement.
 NOISE = 1e-12
+# refine_partition's least gain of a move, relative to max(1, |score|).
+MOVE_MARGIN = 1e-12
 
 
 def _accepts(score: float, best_score: float) -> bool:

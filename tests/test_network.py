@@ -513,9 +513,6 @@ class TestAgainstReferenceFormulas:
         assert np.array_equal(out.u, expected.u)
         assert np.array_equal(out.v, expected.v)
         assert np.array_equal(out.v, output_voltage(out.u, params.u0))
-        changed = np.flatnonzero(np.any(out.u != state.u, axis=1) | np.any(out.v != state.v, axis=1))
-        assert changed.size <= 1
-        others = np.arange(state.rows) != (changed[0] if changed.size else -1)
-        assert np.array_equal(out.u[others], state.u[others])
-        assert np.array_equal(out.v[others], state.v[others])
+        # Every row but the reseated one is unchanged.
+        assert np.count_nonzero(np.any((out.u != state.u) | (out.v != state.v), axis=1)) <= 1
         assert (out.t, out.entropy0) == (state.t, state.entropy0)
