@@ -348,9 +348,9 @@ class TestHyperParamsValidation:
             HyperParams(**kwargs)
 
 
-# Reference formulas: the update, entropy, crispness and reseat as first
-# written, rebuilding the coupling, the entropy and the whole output grid on
-# every call.  The library's versions must agree with them bit for bit.
+# Reference formulas: the update, entropy, crispness and reseat computed the
+# direct way, rebuilding the coupling, the entropy and the whole output grid
+# on every call.  The library's versions must agree with them bit for bit.
 
 
 def _reference_raw_entropy(v: np.ndarray) -> float:
