@@ -33,7 +33,6 @@ from mcfnet.conflict import (
     refine_partition,
 )
 from mcfnet.network import (
-    HyperParams,
     NetworkState,
     DegenerateStartError,
     init_state,
@@ -78,7 +77,7 @@ __all__ = [
     "ConflictMatrix", "Partition", "McfReport",
     "conflict_matrix", "conflict_weight", "cluster_conflict",
     "metaconflict", "evaluate_partition", "kernel_conflicts", "refine_partition",
-    "HyperParams", "NetworkState", "DegenerateStartError",
+    "NetworkState", "DegenerateStartError",
     "init_state", "output_voltage", "step", "entropy",
     "has_converged", "is_crisp", "extract_partition",
     "PriorSpec", "CountState", "cluster_existence", "existence_supports",

@@ -15,7 +15,6 @@ from pathlib import Path
 from mcfnet.conflict import Partition, evaluate_partition
 from mcfnet.counts import PriorSpec
 from mcfnet.harness import RunConfig, batch, run
-from mcfnet.network import HyperParams
 from mcfnet.problems import ProblemSpec, generate, load_evidence, save_evidence, seed_streams
 
 
@@ -24,13 +23,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int,
                         help="run seed (default 0); one seed is one problem in gen, run and batch")
     parser.add_argument("--mode", choices=["unknown-k", "fixed-k"], help="clustering mode")
-    parser.add_argument("--k", type=int, help="cluster count in fixed-k mode (default 5)")
-    parser.add_argument("--p", type=float, help="prior constant p (default 0.9)")
+    parser.add_argument("--k", type=int,
+                        help=f"cluster count in fixed-k mode (default {RunConfig.fixed_k})")
+    parser.add_argument("--p", type=float, help=f"prior constant p (default {PriorSpec.p})")
     parser.add_argument("--columns", type=int, help="cluster-slot count (default frame size + 1)")
-    parser.add_argument("--max-iter", type=int, help="iteration cap (default 1000)")
+    parser.add_argument("--max-iter", type=int,
+                        help=f"iteration cap (default {RunConfig.max_iterations})")
     parser.add_argument("--trace-dir", type=Path, help="emit per-iteration traces here")
     parser.add_argument("--snapshot-every", type=int, help="grid snapshot period (0 = off)")
-    parser.add_argument("--frame-size", type=int, help="frame size (default 5)")
+    parser.add_argument("--frame-size", type=int,
+                        help=f"frame size (default {ProblemSpec.frame_size})")
     parser.add_argument("--mass-mode", choices=["uniform", "ones"], help="mass drawing mode")
     parser.add_argument("--problem-file", type=Path, help="read evidence instead of generating")
     parser.add_argument("--no-refine", action="store_true",
@@ -39,6 +41,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 SETTINGS = ("seed", "mode", "k", "p", "columns", "max_iter", "trace_dir",
             "snapshot_every", "frame_size", "mass_mode", "problem_file", "refine")
+
+# The settings each config part is built from: setting -> (field, conversion).
+PROBLEM_FIELDS = {"frame_size": ("frame_size", int), "mass_mode": ("mass_mode", str)}
+PRIOR_FIELDS = {"p": ("p", float)}
+RUN_FIELDS = {"max_iter": ("max_iterations", int), "mode": ("mode", str), "k": ("fixed_k", int),
+              "columns": ("columns", int), "trace_dir": ("trace_dir", Path),
+              "snapshot_every": ("snapshot_every", int), "refine": ("refine", bool)}
 
 
 def _settings(args: argparse.Namespace) -> dict:
@@ -57,22 +66,21 @@ def _settings(args: argparse.Namespace) -> dict:
     return settings
 
 
+def _given(settings: dict, fields: dict) -> dict:
+    """The keyword arguments for the fields whose settings are given (not None)."""
+    return {field: convert(settings[key])
+            for key, (field, convert) in fields.items() if settings.get(key) is not None}
+
+
 def _build_config(settings: dict) -> tuple[RunConfig, int]:
-    """The run configuration and the run seed that settings describe."""
-    columns = settings.get("columns")
+    """The run configuration and the run seed that settings describe.
+
+    A setting that is not given keeps its dataclass default.
+    """
     config = RunConfig(
-        problem=ProblemSpec(
-            frame_size=int(settings.get("frame_size", 5)),
-            mass_mode=settings.get("mass_mode", "uniform"),
-        ),
-        params=HyperParams(max_iterations=int(settings.get("max_iter", 1000))),
-        prior=PriorSpec(p=float(settings.get("p", 0.9))),
-        mode=settings.get("mode", "unknown-k"),
-        fixed_k=int(settings.get("k", 5)),
-        columns=int(columns) if columns is not None else None,
-        trace_dir=settings.get("trace_dir"),
-        snapshot_every=int(settings.get("snapshot_every", 0)),
-        refine=bool(settings.get("refine", True)),
+        problem=ProblemSpec(**_given(settings, PROBLEM_FIELDS)),
+        prior=PriorSpec(**_given(settings, PRIOR_FIELDS)),
+        **_given(settings, RUN_FIELDS),
     )
     return config, int(settings.get("seed", 0))
 

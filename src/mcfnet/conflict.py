@@ -21,7 +21,6 @@ from mcfnet.evidence import (
     SimpleSupport,
     TotalConflictError,
     combine,
-    pairwise_conflict,
 )
 
 # Conflicts are clamped just below 1 before the log so mass-1 disjoint pairs

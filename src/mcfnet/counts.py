@@ -26,8 +26,6 @@ from mcfnet.evidence import (
 )
 from mcfnet.network import NetworkState
 
-TOTAL_CONFLICT_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -153,7 +151,7 @@ def posterior_counts(
     unnorm = m * cum
     tails = at_least.sum() - np.cumsum(at_least)  # sum over j > r for each r
     c0 = float(np.dot(m, tails))
-    if c0 >= 1.0 - TOTAL_CONFLICT_FLOOR:
+    if c0 >= 1.0 - ONE_MINUS_K_FLOOR:
         raise TotalConflictError(
             f"count combination totally conflicting (c0 = {c0:.3e})"
         )

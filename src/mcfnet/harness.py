@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -29,7 +30,6 @@ from mcfnet.counts import CountState, PriorSpec, compute_count_state
 from mcfnet.evidence import SimpleSupport, commonality_table
 from mcfnet.network import (
     RESEAT_DELAY,
-    HyperParams,
     coupling_matrix,
     entropy,
     extract_partition,
@@ -50,12 +50,12 @@ class RunConfig:
     """Everything one run needs except its seed.
 
     n_columns() is the one column count: the grid's width and the size of
-    the count distribution.
+    the count distribution.  max_iterations caps the network's iterations.
     """
 
     problem: ProblemSpec = ProblemSpec()
-    params: HyperParams = HyperParams()
     prior: PriorSpec = PriorSpec()
+    max_iterations: int = 1000
     mode: str = "unknown-k"
     fixed_k: int = 5
     columns: int | None = None
@@ -70,6 +70,8 @@ class RunConfig:
             raise ValueError("fixed_k must be in [2, evidence count]")
         if self.columns is not None and self.columns < 2:
             raise ValueError("columns must be >= 2")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
     def n_columns(self) -> int:
         if self.mode == "fixed-k":
@@ -141,23 +143,25 @@ def run(
 
     The run seed drives both the random problem masses and the init noise
     through seed_streams; pass pre-built evidence to skip generation.
+    In fixed-k mode, fixed_k above the evidence count raises ValueError.
     """
     mass_rng, noise_rng = seed_streams(seed)
     if evidence is None:
         evidence = generate(config.problem, mass_rng)
     evidence = list(evidence)
     n = len(evidence)
+    if config.mode == "fixed-k" and config.fixed_k > n:
+        raise ValueError("fixed_k must be in [2, evidence count]")
     r_cols = config.n_columns()
-    params = config.params
     unknown = config.mode == "unknown-k"
 
     tracing = config.trace_dir is not None
     weights = conflict_matrix(evidence)
-    coupling = coupling_matrix(weights, params)
+    coupling = coupling_matrix(weights)
     # One table serves the count layer and refinement.
     table = commonality_table(evidence) if unknown or config.refine else None
     masses = np.array([e.mass for e in evidence])
-    state = init_state(n, r_cols, params, noise_rng)
+    state = init_state(n, r_cols, noise_rng)
 
     started = time.perf_counter()
     trace_rows: list[dict] = []
@@ -174,13 +178,13 @@ def run(
             )
         if tracing and config.snapshot_every and state.t % config.snapshot_every == 0:
             snapshots.append((state.t, state.v.copy()))
-        if has_converged(state, params):
+        if has_converged(state, config.max_iterations):
             break
         gd = count_state.gd if unknown else None
         previous_u = state.u  # step leaves state unchanged
-        state = step(state, coupling, gd, params, alpha)
-        if state.t > RESEAT_DELAY and is_stalled(previous_u, state, params):
-            reseated = reseat_stalled_row(state, weights, masses, gd, params)
+        state = step(state, coupling, gd, alpha)
+        if state.t > RESEAT_DELAY and is_stalled(previous_u, state):
+            reseated = reseat_stalled_row(state, weights, masses, gd)
             if reseated is not None:
                 state = reseated
     elapsed = time.perf_counter() - started
@@ -202,7 +206,7 @@ def run(
         network_mcf=network_mcf,
         final_c0=final_c0,
         iterations=state.t,
-        crisp=is_crisp(state, params),
+        crisp=is_crisp(state),
         cluster_count=partition.nonempty_count(),
         final_posterior=count_state.posterior.copy() if count_state else None,
         final_gd=count_state.gd.copy() if count_state else None,
@@ -269,6 +273,11 @@ class BatchSummary:
         return "\n".join(lines) + "\n"
 
 
+def _histogram(records: list[dict], key: str) -> dict[str, int]:
+    """How many records hold each value of key."""
+    return dict(sorted(Counter(str(r[key]) for r in records).items()))
+
+
 def _mode_stats(records: list[dict]) -> dict:
     """Tables 1-3 analogue statistics for one mode's successful runs."""
     if not records:
@@ -276,17 +285,14 @@ def _mode_stats(records: list[dict]) -> dict:
     mcfs = [r["mcf"] for r in records]
     order = np.argsort(mcfs, kind="stable")
     best4 = [records[i] for i in order[:4]]
-    hist: dict[str, int] = {}
-    for r in records:
-        key = str(r["cluster_count"])
-        hist[key] = hist.get(key, 0) + 1
     degenerate = len(records) < 4
     return {
         "n_runs": len(records),
         "mean_iterations": float(np.mean([r["iterations"] for r in records])),
         "mean_mcf": float(np.mean(mcfs)),
         "mean_network_mcf": float(np.mean([r["network_mcf"] for r in records])),
-        "cluster_count_histogram": dict(sorted(hist.items())),
+        "cluster_count_histogram": _histogram(records, "cluster_count"),
+        "network_cluster_count_histogram": _histogram(records, "network_cluster_count"),
         "best_of_4_mcf": float(min(r["mcf"] for r in best4)),
         "mean_of_4_mcf": float(np.mean([r["mcf"] for r in best4])),
         "mcf_per_cluster": float(
@@ -333,6 +339,7 @@ def batch(
                     "network_mcf": result.network_mcf,
                     "final_c0": result.final_c0,
                     "cluster_count": result.cluster_count,
+                    "network_cluster_count": result.network_partition.nonempty_count(),
                     "iterations": result.iterations,
                     "crisp": result.crisp,
                     "n_evidence": len(result.partition.assignment),

@@ -5,17 +5,38 @@ output voltage V = (1 + tanh(u/u0)) / 2 is the degree to which evidence m
 belongs to cluster n.  One step adds eta times the sum of a conflict term,
 a row term, a domain-drive term, an excitation bias, and minus the current
 input voltage.
+
+The gains and thresholds are module constants: the paper's published
+settings for the 31-evidence benchmark, plus two stabilizers of its
+analog search (U_CLAMP, EB_ANNEAL) and the stall reseat.  The only
+setting a run varies, its iteration cap, is RunConfig.max_iterations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from mcfnet.conflict import ConflictMatrix, Partition
 
+
+# The published parameter settings for the 31-evidence benchmark.
+ETA = 1e-5
+DTI = -2000.0          # data-term (conflict) inhibition
+RI = -500.0            # row inhibition
+DOM_TI = -2000.0       # domain-term inhibition
+GI = -200.0            # global inhibition
+EB = 1800.0            # excitation bias
+U0 = 0.02
+NOISE_AMPLITUDE = 0.1  # init noise bound as a fraction of u0
+V_HIGH = 0.99          # winner threshold for crisp convergence
+V_LOW = 0.01           # loser threshold for crisp convergence
+# Stabilizers, not in the paper: the |u| bound in units of u0, and the
+# entropy-annealed reduction of the excitation bias.
+U_CLAMP = 5.0
+EB_ANNEAL = 300.0
 
 # Stall detector: a step in which no input voltage moves more than this many
 # u0 counts as stalled.
@@ -26,49 +47,6 @@ RESEAT_DELAY = 50
 
 class DegenerateStartError(ValueError):
     """Initial entropy is zero; the normalized entropy is undefined."""
-
-
-@dataclass(frozen=True)
-class HyperParams:
-    """Network gains and run controls.
-
-    The numeric defaults are the published parameter settings for the
-    31-evidence benchmark.
-    """
-
-    eta: float = 1e-5
-    dti: float = -2000.0          # data-term (conflict) inhibition
-    ri: float = -500.0            # row inhibition
-    dom_ti: float = -2000.0       # domain-term inhibition
-    gi: float = -200.0            # global inhibition
-    eb: float = 1800.0            # excitation bias
-    u0: float = 0.02
-    noise_amplitude: float = 0.1  # init noise bound as a fraction of u0
-    max_iterations: int = 1000
-    v_high: float = 0.99          # winner threshold for crisp convergence
-    v_low: float = 0.01           # loser threshold for crisp convergence
-    u_clamp: float = 5.0          # |u| bound, in units of u0 (0 disables)
-    eb_anneal: float = 300.0      # entropy-annealed reduction of eb (0 disables)
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.eta < 0.0:
-            raise ValueError("eta must be >= 0")
-        if self.u0 <= 0.0:
-            raise ValueError("u0 must be > 0")
-        if self.noise_amplitude < 0.0:
-            raise ValueError("noise_amplitude must be >= 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.u_clamp < 0.0:
-            raise ValueError("u_clamp must be >= 0")
-        if self.eb_anneal < 0.0:
-            raise ValueError("eb_anneal must be >= 0")
-        if self.v_low >= self.v_high:
-            raise ValueError("v_low must be < v_high")
 
 
 @dataclass(frozen=True)
@@ -89,11 +67,9 @@ class NetworkState:
         return self.u.shape[1]
 
 
-def output_voltage(u, u0: float):
+def output_voltage(u):
     """Sigmoid output (1 + tanh(u/u0)) / 2; works on scalars and arrays."""
-    if u0 <= 0.0:
-        raise ValueError("u0 must be > 0")
-    return 0.5 * (1.0 + np.tanh(np.asarray(u, dtype=float) / u0))
+    return 0.5 * (1.0 + np.tanh(np.asarray(u, dtype=float) / U0))
 
 
 def raw_entropy(v: np.ndarray) -> float:
@@ -106,7 +82,6 @@ def raw_entropy(v: np.ndarray) -> float:
 def init_state(
     n_evidence: int,
     n_clusters: int,
-    params: HyperParams,
     rng: np.random.Generator,
 ) -> NetworkState:
     """Initialize every neuron at u00 + uniform noise.
@@ -118,20 +93,20 @@ def init_state(
         raise ValueError("need at least one piece of evidence")
     if n_clusters < 2:
         raise ValueError("need at least two cluster slots (atanh domain)")
-    u00 = params.u0 * math.atanh(2.0 / n_clusters - 1.0)
-    bound = params.noise_amplitude * params.u0
+    u00 = U0 * math.atanh(2.0 / n_clusters - 1.0)
+    bound = NOISE_AMPLITUDE * U0
     noise = rng.uniform(-bound, bound, size=(n_evidence, n_clusters))
     u = u00 + noise
-    v = output_voltage(u, params.u0)
+    v = output_voltage(u)
     ent0 = raw_entropy(v)
     if ent0 <= 0.0:
         raise DegenerateStartError("initial entropy is zero; cannot normalize")
     return NetworkState(u=u, v=v, t=0, entropy0=ent0)
 
 
-def coupling_matrix(weights: ConflictMatrix, params: HyperParams) -> np.ndarray:
+def coupling_matrix(weights: ConflictMatrix) -> np.ndarray:
     """Column-coupling coefficients: dti * (-ln(1 - c_im)) + gi for every pair."""
-    return params.dti * weights.log_weights + params.gi
+    return DTI * weights.log_weights + GI
 
 
 def domain_drive(gd: np.ndarray) -> np.ndarray:
@@ -150,42 +125,37 @@ def step(
     state: NetworkState,
     coupling: np.ndarray,
     gd: np.ndarray | None,
-    params: HyperParams,
     alpha: float,
 ) -> NetworkState:
     """One synchronous update of every neuron from the previous iteration's voltages.
 
-    coupling is coupling_matrix(weights, params) and alpha the normalized
-    entropy of state; state is left unchanged.  gd = None drops the domain
-    term entirely (the fixed-cluster-count baseline network).
+    coupling is coupling_matrix(weights) and alpha the normalized entropy
+    of state; state is left unchanged.  gd = None drops the domain term
+    entirely (the fixed-cluster-count baseline network).
 
     Two stabilizers keep the analog search responsive: the excitation bias
-    is annealed downward by eb_anneal * (1 - alpha), which shrinks the
+    is annealed downward by EB_ANNEAL * (1 - alpha), which shrinks the
     stability window of half-committed assignments as the grid sharpens,
-    and |u| is clamped to u_clamp * u0 so saturated neurons can still react
+    and |u| is clamped to U_CLAMP * u0 so saturated neurons can still react
     within a few iterations.
     """
     if coupling.shape != (state.rows, state.rows):
         raise ValueError("coupling matrix size does not match evidence count")
     v = state.v
     total = coupling.T @ v
-    total += (params.ri + params.gi) * (v.sum(axis=1, keepdims=True) - v)
-    eb = params.eb
-    if params.eb_anneal > 0.0:
-        eb = eb - (1.0 - alpha) * params.eb_anneal
-    total += eb
+    total += (RI + GI) * (v.sum(axis=1, keepdims=True) - v)
+    total += EB - (1.0 - alpha) * EB_ANNEAL
     if gd is not None:
         gd = np.asarray(gd, dtype=float)
         if gd.shape != (state.cols,):
             raise ValueError("gd must have one value per column")
-        total += (params.dom_ti + params.gi) * domain_drive(gd)
+        total += (DOM_TI + GI) * domain_drive(gd)
     total -= state.u
-    total *= params.eta
+    total *= ETA
     total += state.u
-    if params.u_clamp > 0.0:
-        bound = params.u_clamp * params.u0
-        np.clip(total, -bound, bound, out=total)
-    return NetworkState(total, output_voltage(total, params.u0), state.t + 1, state.entropy0)
+    bound = U_CLAMP * U0
+    np.clip(total, -bound, bound, out=total)
+    return NetworkState(total, output_voltage(total), state.t + 1, state.entropy0)
 
 
 def entropy(state: NetworkState) -> tuple[float, float]:
@@ -201,30 +171,28 @@ def entropy(state: NetworkState) -> tuple[float, float]:
     return raw, alpha
 
 
-def crisp_rows(state: NetworkState, params: HyperParams) -> np.ndarray:
-    """Rows with exactly one voltage above v_low, the row max, at or above v_high."""
+def crisp_rows(state: NetworkState) -> np.ndarray:
+    """Rows with exactly one voltage above V_LOW, the row max, at or above V_HIGH."""
     v = state.v
-    return ((v > params.v_low).sum(axis=1) == 1) & (v.max(axis=1) >= params.v_high)
+    return ((v > V_LOW).sum(axis=1) == 1) & (v.max(axis=1) >= V_HIGH)
 
 
-def is_crisp(state: NetworkState, params: HyperParams) -> bool:
-    """True when the grid holds one voltage above v_low per row and every row max is >= v_high."""
+def is_crisp(state: NetworkState) -> bool:
+    """True when the grid holds one voltage above V_LOW per row and every row max is >= V_HIGH."""
     v = state.v
-    return bool(np.count_nonzero(v > params.v_low) == state.rows
-                and (v.max(axis=1) >= params.v_high).all())
+    return bool(np.count_nonzero(v > V_LOW) == state.rows
+                and (v.max(axis=1) >= V_HIGH).all())
 
 
-def has_converged(state: NetworkState, params: HyperParams) -> bool:
+def has_converged(state: NetworkState, max_iterations: int) -> bool:
     """Crisp rows, or the iteration cap reached."""
-    return state.t >= params.max_iterations or is_crisp(state, params)
+    return state.t >= max_iterations or is_crisp(state)
 
 
-def is_stalled(
-    previous_u: np.ndarray, state: NetworkState, params: HyperParams
-) -> bool:
+def is_stalled(previous_u: np.ndarray, state: NetworkState) -> bool:
     """True when no input voltage moved more than STALL_THRESHOLD * u0 this step."""
     du = float(np.abs(state.u - previous_u).max())
-    return du < STALL_THRESHOLD * params.u0
+    return du < STALL_THRESHOLD * U0
 
 
 def reseat_stalled_row(
@@ -232,7 +200,6 @@ def reseat_stalled_row(
     weights: ConflictMatrix,
     masses: np.ndarray,
     gd: np.ndarray | None,
-    params: HyperParams,
 ) -> NetworkState | None:
     """Move one stuck row to its best column when the grid has stalled short of crisp.
 
@@ -243,26 +210,23 @@ def reseat_stalled_row(
     domain drive); the synchronous updates then evict whichever neighbors
     genuinely conflict with it.  Returns None when every row is crisp.
     """
-    ok = crisp_rows(state, params)
+    ok = crisp_rows(state)
     candidates = np.flatnonzero(~ok)
     if candidates.size == 0:
         return None
     masses = np.asarray(masses, dtype=float)
     m = int(candidates[np.argmax(masses[candidates])])
     v = state.v
-    score = (
-        params.dti * (weights.log_weights[m] @ v)
-        + params.gi * (v.sum(axis=0) - v[m])
-    )
+    score = DTI * (weights.log_weights[m] @ v) + GI * (v.sum(axis=0) - v[m])
     if gd is not None:
-        score = score + (params.dom_ti + params.gi) * domain_drive(gd)
+        score = score + (DOM_TI + GI) * domain_drive(gd)
     best = int(np.argmax(score))
-    bound = (params.u_clamp if params.u_clamp > 0.0 else 5.0) * params.u0
+    bound = U_CLAMP * U0
     u = state.u.copy()
     u[m] = -bound
     u[m, best] = bound
     v = v.copy()
-    v[m] = output_voltage(u[m], params.u0)
+    v[m] = output_voltage(u[m])
     return NetworkState(u, v, state.t, state.entropy0)
 
 

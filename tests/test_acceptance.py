@@ -20,7 +20,7 @@ from mcfnet.counts import (
 from mcfnet.evidence import Frame, combine
 from mcfnet.harness import RunConfig, run
 from mcfnet.network import (
-    HyperParams,
+    U0,
     coupling_matrix,
     entropy,
     init_state,
@@ -100,7 +100,7 @@ def test_criterion_3_count_evidence_oracle():
 
 def test_criterion_4_end_to_end_convergence(unknown_runs):
     """Crisp convergence with a determined count in >= 8 of 10 seeded runs."""
-    cap = HyperParams().max_iterations
+    cap = RunConfig().max_iterations
     good = 0
     for r in unknown_runs:
         final_alpha = r.trace_rows[-1]["alpha"]
@@ -201,23 +201,22 @@ class TestCriterion9PropertySuites:
         for _ in range(self.CASES):
             u = rng.normal(0.0, 10.0, size=int(rng.integers(1, 50)))
             u0 = float(rng.uniform(1e-3, 1.0))
-            v = output_voltage(u, u0)
+            v = output_voltage(u / u0 * U0)  # u in units of the drawn u0
             assert np.all(v >= 0.0) and np.all(v <= 1.0)
         check(9, True, f"V-range preservation held on {self.CASES} cases")
 
     def test_determinism_by_seed(self):
         rng = np.random.default_rng(95)
-        params = HyperParams()
         frame = Frame(4)
         evidence = [random_ssf(frame, rng, i) for i in range(6)]
-        coupling = coupling_matrix(conflict_matrix(evidence), params)
+        coupling = coupling_matrix(conflict_matrix(evidence))
         gd = np.full(3, 1.0 / 3.0)
         for _ in range(self.CASES):
             seed = int(rng.integers(0, 2**31))
-            a = init_state(6, 3, params, np.random.default_rng(seed))
-            b = init_state(6, 3, params, np.random.default_rng(seed))
+            a = init_state(6, 3, np.random.default_rng(seed))
+            b = init_state(6, 3, np.random.default_rng(seed))
             assert np.array_equal(a.u, b.u)
-            sa = step(a, coupling, gd, params, entropy(a)[1])
-            sb = step(b, coupling, gd, params, entropy(b)[1])
+            sa = step(a, coupling, gd, entropy(a)[1])
+            sb = step(b, coupling, gd, entropy(b)[1])
             assert np.array_equal(sa.u, sb.u)
         check(9, True, f"seed determinism held on {self.CASES} cases")

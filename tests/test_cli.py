@@ -6,8 +6,29 @@ import json
 
 import pytest
 
-from mcfnet.cli import main
-from mcfnet.problems import load_evidence
+from mcfnet.cli import _build_config, main
+from mcfnet.counts import PriorSpec
+from mcfnet.harness import RunConfig
+from mcfnet.problems import ProblemSpec, load_evidence
+
+
+def test_no_settings_build_the_dataclass_defaults():
+    assert _build_config({}) == (RunConfig(), 0)
+
+
+def test_every_setting_reaches_its_field(tmp_path):
+    config, seed = _build_config({
+        "seed": 7, "mode": "fixed-k", "k": 4, "p": 0.5, "columns": 3,
+        "max_iter": 20, "trace_dir": str(tmp_path), "snapshot_every": 5,
+        "frame_size": 4, "mass_mode": "ones", "refine": False,
+    })
+    assert seed == 7
+    assert config == RunConfig(
+        problem=ProblemSpec(frame_size=4, mass_mode="ones"),
+        prior=PriorSpec(p=0.5),
+        max_iterations=20, mode="fixed-k", fixed_k=4, columns=3,
+        trace_dir=tmp_path, snapshot_every=5, refine=False,
+    )
 
 
 def test_gen_writes_problem_file(tmp_path, capsys):

@@ -20,7 +20,7 @@ from mcfnet.counts import (
 )
 from mcfnet.evidence import FocalSet, Frame, SimpleSupport, commonality_table
 from mcfnet.harness import RunConfig, run
-from mcfnet.network import HyperParams, NetworkState, init_state, output_voltage
+from mcfnet.network import U0, NetworkState, init_state, output_voltage
 from mcfnet.problems import ProblemSpec, generate
 from tests.conftest import brute_force_at_least
 
@@ -269,8 +269,7 @@ def problem():
 
 class TestComputeCountState:
     def test_fresh_init_posterior_positive(self, problem):
-        params = HyperParams()
-        state = init_state(31, 6, params, np.random.default_rng(0))
+        state = init_state(31, 6, np.random.default_rng(0))
         cs = compute_count_state(problem, state, PriorSpec(), 1.0,
                                  commonality_table(problem))
         assert isinstance(cs, CountState)
@@ -278,11 +277,10 @@ class TestComputeCountState:
         assert np.array_equal(cs.gd, cs.posterior)  # alpha = 1 identity
 
     def test_crisp_state_with_empty_column(self, problem):
-        params = HyperParams()
-        u = np.full((31, 6), -10 * params.u0)
+        u = np.full((31, 6), -10 * U0)
         for m in range(31):
-            u[m, m % 5] = 10 * params.u0  # column 6 stays dark
-        state = NetworkState(u=u, v=output_voltage(u, params.u0), t=50,
+            u[m, m % 5] = 10 * U0  # column 6 stays dark
+        state = NetworkState(u=u, v=output_voltage(u), t=50,
                              entropy0=1.0)
         cs = compute_count_state(problem, state, PriorSpec(), 0.0,
                                  commonality_table(problem))
@@ -290,7 +288,7 @@ class TestComputeCountState:
         assert np.all(cs.supports[:5] > 0.5)
 
     def test_dimension_validation(self, problem):
-        state = init_state(31, 6, HyperParams(), np.random.default_rng(0))
+        state = init_state(31, 6, np.random.default_rng(0))
         with pytest.raises(ValueError):
             compute_count_state(problem[:30], state, PriorSpec(), 1.0,
                                 commonality_table(problem[:30]))
@@ -304,7 +302,7 @@ class TestComputeCountState:
             return original(evidence, state, prior, alpha, table)
 
         monkeypatch.setattr(harness, "compute_count_state", recording)
-        result = run(RunConfig(params=HyperParams(max_iterations=5)), seed=0)
+        result = run(RunConfig(max_iterations=5), seed=0)
         assert len(tables) == result.iterations + 1
         assert tables[0] is not None
         assert all(t is tables[0] for t in tables)

@@ -15,7 +15,6 @@ import mcfnet.harness as harness
 from mcfnet.conflict import evaluate_partition
 from mcfnet.evidence import FocalSet, Frame, SimpleSupport
 from mcfnet.harness import MODES, BatchSummary, RunConfig, batch, run
-from mcfnet.network import HyperParams
 from mcfnet.problems import MASS_MODES, ProblemSpec, generate, seed_streams
 
 TIMING_FIELDS = ("elapsed_s", "mean_elapsed_s")
@@ -86,12 +85,16 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="fixed_k|columns"):
             RunConfig(**kwargs)
 
+    def test_iteration_cap_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_iterations"):
+            RunConfig(max_iterations=0)
+
 
 class TestRun:
     def test_unknown_k_converges_crisp(self, unknown_result):
         r = unknown_result
         assert r.crisp
-        assert r.iterations < HyperParams().max_iterations
+        assert r.iterations < RunConfig().max_iterations
         assert 4 <= r.cluster_count <= 6
         assert r.final_gd is not None and r.final_gd.max() > 0.99
 
@@ -121,13 +124,13 @@ class TestRun:
         )
 
     def test_iteration_cap_returns_non_crisp(self):
-        config = RunConfig(params=HyperParams(max_iterations=1))
+        config = RunConfig(max_iterations=1)
         result = run(config, seed=0)
         assert result.iterations == 1
         assert not result.crisp
 
     def test_run_determinism(self):
-        config = RunConfig(params=HyperParams(max_iterations=40))
+        config = RunConfig(max_iterations=40)
         a = run(config, seed=3)
         b = run(config, seed=3)
         assert a.partition.assignment == b.partition.assignment
@@ -136,17 +139,24 @@ class TestRun:
 
     def test_explicit_evidence_skips_generation(self):
         evidence = generate(ProblemSpec(), np.random.default_rng(99))
-        config = RunConfig(params=HyperParams(max_iterations=5))
+        config = RunConfig(max_iterations=5)
         result = run(config, seed=0, evidence=evidence)
         assert len(result.partition.assignment) == 31
 
+    def test_fixed_k_above_explicit_evidence_count_rejected(self):
+        # The config checks fixed_k against the generated problem's size
+        # only; 7 given pieces cannot fill 20 columns.
+        evidence = generate(ProblemSpec(frame_size=3), np.random.default_rng(0))
+        config = RunConfig(mode="fixed-k", fixed_k=20, max_iterations=5)
+        with pytest.raises(ValueError, match=r"fixed_k must be in \[2, evidence count\]"):
+            run(config, seed=0, evidence=evidence)
+
     def test_fixed_k_never_consults_count_pipeline(self, count_calls):
-        run(RunConfig(mode="fixed-k", fixed_k=5,
-                      params=HyperParams(max_iterations=30)), seed=1)
+        run(RunConfig(mode="fixed-k", fixed_k=5, max_iterations=30), seed=1)
         assert count_calls == []
 
     def test_unknown_k_consults_count_pipeline_every_iteration(self, count_calls):
-        result = run(RunConfig(params=HyperParams(max_iterations=10)), seed=1)
+        result = run(RunConfig(max_iterations=10), seed=1)
         assert len(count_calls) == result.iterations + 1
 
     def test_all_mass_one_problem_runs(self):
@@ -210,7 +220,7 @@ class TestRunFuzz:
         self, frame_size, mass_mode, columns, mode, cap, seed
     ):
         problem = ProblemSpec(frame_size=frame_size, mass_mode=mass_mode)
-        kwargs = dict(problem=problem, params=HyperParams(max_iterations=cap),
+        kwargs = dict(problem=problem, max_iterations=cap,
                       mode=mode, fixed_k=columns, columns=columns)
         if mode == "fixed-k" and columns > problem.n_evidence:
             with pytest.raises(ValueError, match="fixed_k"):
@@ -229,7 +239,7 @@ class TestRunFuzz:
             assert result.iterations == cap
         elif result.iterations == cap:
             # Crisp exactly at the cap: a higher cap must stop there too.
-            longer = run(replace(config, params=HyperParams(max_iterations=cap + 1)), seed)
+            longer = run(replace(config, max_iterations=cap + 1), seed)
             assert longer.iterations == cap
 
 
@@ -296,6 +306,20 @@ class TestBatch:
                 "mcf_per_evidence",
             ):
                 assert field in stats
+
+    def test_network_cluster_count_histogram(self, small_batch):
+        summary, _ = small_batch
+        for mode in MODES:
+            records = [r for r in summary.runs if r["mode"] == mode]
+            expected: dict[str, int] = {}
+            for r in records:
+                key = str(r["network_cluster_count"])
+                expected[key] = expected.get(key, 0) + 1
+            stats = summary.per_mode[mode]
+            assert stats["network_cluster_count_histogram"] == expected
+            assert sum(stats["network_cluster_count_histogram"].values()) == len(records)
+            for r in records:
+                assert r["cluster_count"] <= r["network_cluster_count"]
 
     def test_network_and_refined_mcf_side_by_side(self, small_batch):
         summary, _ = small_batch

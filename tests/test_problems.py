@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mcfnet.conflict import evaluate_partition, pairwise_conflict
-from mcfnet.evidence import Frame
+from mcfnet.conflict import evaluate_partition
+from mcfnet.evidence import Frame, pairwise_conflict
 from mcfnet.problems import (
     ProblemSpec,
     canonical_partition,
