@@ -314,10 +314,54 @@ class TestConstants:
         )
 
     def test_scales_and_thresholds_are_usable(self):
-        # The update rule needs a positive gain and scale, and thresholds inside (0, 1).
-        assert ETA > 0.0 and U0 > 0.0 and NOISE_AMPLITUDE >= 0.0
-        assert U_CLAMP > 0.0 and EB_ANNEAL >= 0.0
-        assert 0.0 < V_LOW < V_HIGH < 1.0
+        _check_usable(**_PUBLISHED_BOUNDED)
+
+
+# The update rule needs a positive gain and scale, and thresholds inside (0, 1).
+_PUBLISHED_BOUNDED = {
+    "eta": ETA,
+    "u0": U0,
+    "noise_amplitude": NOISE_AMPLITUDE,
+    "u_clamp": U_CLAMP,
+    "eb_anneal": EB_ANNEAL,
+    "v_low": V_LOW,
+    "v_high": V_HIGH,
+}
+
+
+def _check_usable(eta, u0, noise_amplitude, u_clamp, eb_anneal, v_low, v_high):
+    if not (eta > 0.0 and u0 > 0.0 and noise_amplitude >= 0.0):
+        raise ValueError("eta and u0 must be positive, noise_amplitude non-negative")
+    if not (u_clamp > 0.0 and eb_anneal >= 0.0):
+        raise ValueError("u_clamp must be positive, eb_anneal non-negative")
+    if not 0.0 < v_low < v_high < 1.0:
+        raise ValueError("need 0 < v_low < v_high < 1")
+
+
+class TestHyperParamsValidation:
+    """The bad values the former settable gains were rejected for.
+
+    Each case swaps one value of the published constants for a bad one; the
+    bounds check that passes the constants must reject it.  The ids keep the
+    case numbers of the table these came from; its cases 3 (the iteration
+    cap, now `RunConfig`) and 6-8 (non-finite gains) have no constant left.
+    """
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param({"eta": -1.0}, id="kwargs0"),
+            pytest.param({"u0": 0.0}, id="kwargs1"),
+            pytest.param({"noise_amplitude": -0.1}, id="kwargs2"),
+            pytest.param({"u_clamp": -1.0}, id="kwargs4"),
+            pytest.param({"eb_anneal": -1.0}, id="kwargs5"),
+            pytest.param({"v_low": 0.9, "v_high": 0.1}, id="kwargs9"),
+            pytest.param({"v_low": 0.5, "v_high": 0.5}, id="kwargs10"),
+        ],
+    )
+    def test_rejects_bad_values(self, kwargs):
+        with pytest.raises(ValueError):
+            _check_usable(**{**_PUBLISHED_BOUNDED, **kwargs})
 
 
 # Reference formulas: the update, entropy, crispness and reseat computed the
