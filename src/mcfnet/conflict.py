@@ -74,11 +74,9 @@ def conflict_matrix(evidence: Sequence[SimpleSupport]) -> ConflictMatrix:
         if e.frame != frame:
             raise FrameMismatchError("evidence over different frames")
     masses = np.array([e.mass for e in evidence])
-    focals = [e.focal.bits for e in evidence]
-    n = len(evidence)
-    disjoint = np.array(
-        [[focals[j] & focals[k] == 0 for k in range(n)] for j in range(n)]
-    )
+    # A frame has at most 63 elements, so every focal bitmask fits in int64.
+    bits = np.array([e.focal.bits for e in evidence], dtype=np.int64)
+    disjoint = (bits[:, None] & bits[None, :]) == 0
     entries = np.where(disjoint, np.outer(masses, masses), 0.0)
     np.fill_diagonal(entries, 0.0)
     return ConflictMatrix(entries)

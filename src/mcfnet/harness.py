@@ -72,6 +72,8 @@ class RunConfig:
             raise ValueError("columns must be >= 2")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.snapshot_every < 0:
+            raise ValueError("snapshot_every must be >= 0")
 
     def n_columns(self) -> int:
         if self.mode == "fixed-k":

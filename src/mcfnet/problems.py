@@ -121,6 +121,8 @@ def load_evidence(
         elems = tuple(int(x) for x in parts[1].split())
         mass = float(parts[2])
         records.append((eid, elems, mass))
+    if not records:
+        raise ValueError(f"no evidence in {path}")
     if frame is None:
         size = header_size or max(max(elems) for _, elems, _ in records)
         frame = Frame(size)

@@ -23,7 +23,7 @@ from mcfnet.conflict import (
     metaconflict,
     refine_partition,
 )
-from mcfnet.evidence import FocalSet, Frame, SimpleSupport, commonality_table
+from mcfnet.evidence import FocalSet, Frame, SimpleSupport, commonality_table, pairwise_conflict
 from mcfnet.problems import ProblemSpec, canonical_partition, generate
 from tests.conftest import random_ssf
 
@@ -104,6 +104,22 @@ class TestConflictMatrix:
         assert np.array_equal(cm.entries, cm.entries.T)
         assert np.all(np.diag(cm.entries) == 0.0)
         assert np.all(cm.entries >= 0.0) and np.all(cm.entries < 1.0)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pairwise_conflict(self, data):
+        # Frame(63) reaches bit 62, the top bit an int64 bitmask can hold.
+        frame = Frame(data.draw(st.sampled_from([1, 2, 5, 16, 62, 63])))
+        top = 1 << (frame.size - 1)
+        focal = st.integers(1, frame.full_mask) | st.integers(0, top - 1).map(lambda b: b | top)
+        pieces = data.draw(st.lists(st.tuples(focal, st.floats(0.01, 1.0)),
+                                    min_size=1, max_size=8))
+        evidence = [SimpleSupport(FocalSet(b, frame), m, id=i)
+                    for i, (b, m) in enumerate(pieces)]
+        expected = np.array([[0.0 if j == k else pairwise_conflict(a, b)
+                              for k, b in enumerate(evidence)]
+                             for j, a in enumerate(evidence)])
+        assert np.array_equal(conflict_matrix(evidence).entries, expected)
 
 
 class TestPartition:

@@ -89,6 +89,11 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="max_iterations"):
             RunConfig(max_iterations=0)
 
+    def test_negative_snapshot_period_rejected(self):
+        # A negative period would snapshot where t % |period| == 0.
+        with pytest.raises(ValueError, match="snapshot_every"):
+            RunConfig(snapshot_every=-3)
+
 
 class TestRun:
     def test_unknown_k_converges_crisp(self, unknown_result):

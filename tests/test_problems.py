@@ -120,6 +120,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             save_evidence(tmp_path / "x.txt", [])
 
+    def test_file_without_evidence_rejected(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("# frame_size=5\n")
+        with pytest.raises(ValueError, match="no evidence"):
+            load_evidence(path)
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0, 1 2\n")
