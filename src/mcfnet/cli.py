@@ -2,13 +2,15 @@
 
 Each subcommand accepts only the flags it reads.  On failure a single
 machine-readable JSON error line goes to stderr and the exit code is
-nonzero.
+nonzero.  A standard output closed by its reader (`mcfnet run | head`)
+is not a failure: the command ends quietly with exit code 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -180,7 +182,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except Exception as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

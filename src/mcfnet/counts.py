@@ -4,9 +4,9 @@ Pipeline per iteration: discount every piece of evidence by its column
 voltage and combine (cluster-existence support, every column at once from
 a commonality table built once per run), regroup the per-cluster
 supports by how many clusters exist at once (a Poisson-binomial style
-convolution), combine the result with a geometric prior over the count,
-and anneal the posterior toward a one-hot at its argmax as the network's
-entropy falls.
+convolution), combine the result with a geometric prior over the count
+(its masses also built once per run), and anneal the posterior toward a
+one-hot at its argmax as the network's entropy falls.
 """
 
 from __future__ import annotations
@@ -107,10 +107,9 @@ def existence_supports(
     """
     one_minus_k, q_theta = table.combine_discounted(v)
     meaningless = one_minus_k < ONE_MINUS_K_FLOOR
-    ratio = q_theta / np.where(meaningless, 1.0, one_minus_k)
+    ratio = q_theta / np.maximum(one_minus_k, ONE_MINUS_K_FLOOR)
     thetas = np.where(meaningless, 0.0, np.minimum(ratio, 1.0))
-    supports = np.where(meaningless, 1.0, 1.0 - thetas)
-    return supports, thetas, meaningless
+    return 1.0 - thetas, thetas, meaningless
 
 
 def at_least_distribution(
@@ -123,34 +122,35 @@ def at_least_distribution(
     complement); theta_mass is the all-complements term.  Computed by
     convolution over clusters, identical to full subset enumeration.
     """
-    pmf = np.array([1.0])
-    for a in supports:
-        a = float(a)
+    pmf = [1.0]
+    for a in np.asarray(supports, dtype=float).tolist():
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"support must be in [0, 1], got {a}")
-        nxt = np.zeros(len(pmf) + 1)
-        nxt[:-1] += pmf * (1.0 - a)
-        nxt[1:] += pmf * a
-        pmf = nxt
-    return pmf[1:], float(pmf[0])
+        b = 1.0 - a
+        pmf = ([pmf[0] * b]
+               + [hi * b + lo * a for lo, hi in zip(pmf, pmf[1:])]
+               + [pmf[-1] * a])
+    return np.array(pmf[1:]), pmf[0]
 
 
 def posterior_counts(
-    at_least: Sequence[float], theta_mass: float, prior: PriorSpec
+    at_least: Sequence[float], theta_mass: float, prior_masses: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Dempster combination of the count prior with the at-least evidence.
 
     {count = r} intersects {count >= j} iff j <= r, so the unnormalized
     posterior at r is m(r) * (theta_mass + sum_{j<=r} at_least[j]) and the
-    conflict c0 collects the j > r cross terms.  The prior covers counts
-    1..len(at_least).
+    conflict c0 collects the j > r cross terms.  prior_masses holds m(r) for
+    the counts 1..len(at_least), as PriorSpec.masses gives them; a run
+    builds it once.
     """
     at_least = np.asarray(at_least, dtype=float)
-    m = prior.masses(len(at_least))
-    cum = theta_mass + np.cumsum(at_least)
-    unnorm = m * cum
-    tails = at_least.sum() - np.cumsum(at_least)  # sum over j > r for each r
-    c0 = float(np.dot(m, tails))
+    if len(prior_masses) != len(at_least):
+        raise ValueError("one prior mass per count required")
+    cum = np.cumsum(at_least)
+    unnorm = prior_masses * (theta_mass + cum)
+    tails = at_least.sum() - cum  # sum over j > r for each r
+    c0 = float(np.dot(prior_masses, tails))
     if c0 >= 1.0 - ONE_MINUS_K_FLOOR:
         raise TotalConflictError(
             f"count combination totally conflicting (c0 = {c0:.3e})"
@@ -175,22 +175,22 @@ def gradual_determination(posterior: Sequence[float], alpha: float) -> np.ndarra
 
 
 def compute_count_state(
-    evidence: Sequence[SimpleSupport],
-    state: NetworkState,
-    prior: PriorSpec,
-    alpha: float,
     table: CommonalityTable,
+    state: NetworkState,
+    prior_masses: np.ndarray,
+    alpha: float,
 ) -> CountState:
     """Chain existence -> at-least -> posterior -> gradual determination.
 
-    table is commonality_table(evidence); a run builds it once and passes it
-    to every call.
+    table is the commonality table of the evidence and prior_masses the
+    prior's masses over the grid's columns; a run builds both once and
+    passes them to every call.
     """
-    if len(evidence) != state.rows:
+    if len(table.masses) != state.rows:
         raise ValueError("evidence count must equal the row count")
     supports, thetas, meaningless = existence_supports(table, state.v)
     at_least, theta_mass = at_least_distribution(supports)
-    posterior, c0 = posterior_counts(at_least, theta_mass, prior)
+    posterior, c0 = posterior_counts(at_least, theta_mass, prior_masses)
     gd = gradual_determination(posterior, alpha)
     return CountState(
         supports=supports,

@@ -17,6 +17,9 @@ MASS_TOL = 1e-9
 ONE_MINUS_K_FLOOR = 1e-12
 # A commonality table enumerates all 2^|frame| subsets once.
 MAX_TABLE_FRAME = 16
+# The log the commonality kernel takes for a factor of 0.  Fewer than 1e8
+# such factors sum to a finite value, whose exp is 0.
+ZERO_FACTOR_LOG = -1e300
 
 
 class FrameMismatchError(ValueError):
@@ -281,9 +284,15 @@ class CommonalityTable:
         The normalized frame mass is Q(frame) / (1 - k).
         """
         s = v * self.masses[:, None]
-        q = np.prod(1.0 - self.outside[:, :, None] * s[None, :, :], axis=1)
-        q_theta = np.prod(1.0 - self.theta_row[:, None] * s, axis=0)
-        return self.coef @ q, q_theta
+        # Q is a product of factors 1 - s, computed as the exp of a sum of
+        # logs.  A factor with s = 1 is zero; its log -inf would turn the
+        # 0 * log terms of the matrix products into nan, so it counts as
+        # ZERO_FACTOR_LOG instead.  exp then gives exactly 0 wherever one
+        # or more zero factors enter a sum, and 0 * ZERO_FACTOR_LOG adds
+        # nothing where none does.
+        logs = np.full(s.shape, ZERO_FACTOR_LOG)
+        np.log1p(-s, out=logs, where=s < 1.0)
+        return self.coef @ np.exp(self.outside @ logs), np.exp(self.theta_row @ logs)
 
 
 def commonality_table(evidence: Sequence[SimpleSupport]) -> CommonalityTable:

@@ -24,10 +24,12 @@ from mcfnet.conflict import (
     Partition,
     conflict_matrix,
     evaluate_partition,
+    kernel_conflicts,
+    metaconflict,
     refine_partition,
 )
 from mcfnet.counts import CountState, PriorSpec, compute_count_state
-from mcfnet.evidence import SimpleSupport, commonality_table
+from mcfnet.evidence import CommonalityTable, SimpleSupport, commonality_table
 from mcfnet.network import (
     RESEAT_DELAY,
     coupling_matrix,
@@ -110,19 +112,24 @@ def _trace_row(
     raw: float,
     alpha: float,
     evidence: Sequence[SimpleSupport],
+    table: CommonalityTable | None,
     partition: Partition,
     count_state: CountState | None,
 ) -> dict:
+    """One iteration's scalars; the partition is scored on the run's table if it has one."""
     c0 = count_state.c0 if count_state is not None else 0.0
-    report = evaluate_partition(evidence, partition, 0.0)
+    if table is not None:
+        conflicts = kernel_conflicts(table, partition).tolist()
+    else:
+        conflicts = evaluate_partition(evidence, partition, 0.0).cluster_conflicts
     row = {
         "t": t,
         "entropy": raw,
         "alpha": alpha,
-        "mcf": report.mcf,
+        "mcf": metaconflict(0.0, conflicts),
         "c0": c0,
     }
-    for i, c in enumerate(report.cluster_conflicts, start=1):
+    for i, c in enumerate(conflicts, start=1):
         row[f"c_{i}"] = c
     if count_state is not None:
         for i, x in enumerate(count_state.supports, start=1):
@@ -160,9 +167,10 @@ def run(
     tracing = config.trace_dir is not None
     weights = conflict_matrix(evidence)
     coupling = coupling_matrix(weights)
-    # One table serves the count layer and refinement.
+    # One table serves the count layer, refinement and the trace rows.
     table = commonality_table(evidence) if unknown or config.refine else None
     masses = np.array([e.mass for e in evidence])
+    prior_masses = config.prior.masses(r_cols)
     state = init_state(n, r_cols, noise_rng)
 
     started = time.perf_counter()
@@ -172,10 +180,10 @@ def run(
     while True:
         raw, alpha = entropy(state)
         if unknown:
-            count_state = compute_count_state(evidence, state, config.prior, alpha, table)
+            count_state = compute_count_state(table, state, prior_masses, alpha)
         if tracing:
             trace_rows.append(
-                _trace_row(state.t, raw, alpha, evidence,
+                _trace_row(state.t, raw, alpha, evidence, table,
                            extract_partition(state), count_state)
             )
         if tracing and config.snapshot_every and state.t % config.snapshot_every == 0:

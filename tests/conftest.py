@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own combination and
 convolution code paths: Dempster's rule is evaluated by exhaustive
 focal-product enumeration over all bodies at once, and the at-least
-distribution by full 2^R subset enumeration.
+distribution by full 2^R subset enumeration.  The direct forms that the
+library's fast kernels replaced are kept here as their oracles too.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from mcfnet.evidence import FocalSet, Frame, MassFunction, SimpleSupport
 
@@ -61,6 +63,47 @@ def brute_force_at_least(supports):
         else:
             at_least[size - 1] += weight
     return at_least, theta
+
+
+def product_combine_discounted(table, v):
+    """CommonalityTable.combine_discounted with each Q multiplied out factor by factor."""
+    s = v * table.masses[:, None]
+    q = np.prod(1.0 - table.outside[:, :, None] * s[None, :, :], axis=1)
+    q_theta = np.prod(1.0 - table.theta_row[:, None] * s, axis=0)
+    return table.coef @ q, q_theta
+
+
+def array_at_least(supports):
+    """at_least_distribution convolved on numpy arrays, one column at a time."""
+    pmf = np.array([1.0])
+    for a in supports:
+        nxt = np.zeros(len(pmf) + 1)
+        nxt[:-1] += pmf * (1.0 - a)
+        nxt[1:] += pmf * a
+        pmf = nxt
+    return pmf[1:], float(pmf[0])
+
+
+MASSES = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
+VOLTAGES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def voltage_grids(draw, max_frame=8, max_evidence=8):
+    """Evidence with repeated and whole-frame focal sets, and a voltage grid.
+
+    Masses and voltages may be exactly 1, voltages exactly 0.
+    """
+    frame = Frame(draw(st.integers(1, max_frame)))
+    focal = st.one_of(st.just(frame.full_mask), st.integers(1, frame.full_mask))
+    pool = draw(st.lists(focal, min_size=1, max_size=4))
+    bits = draw(st.lists(st.one_of(focal, st.sampled_from(pool)),
+                         min_size=1, max_size=max_evidence))
+    evidence = [SimpleSupport(FocalSet(b, frame), draw(MASSES), id=j)
+                for j, b in enumerate(bits)]
+    cols = draw(st.integers(1, 3))
+    v = np.array([[draw(VOLTAGES) for _ in range(cols)] for _ in evidence])
+    return evidence, v
 
 
 def random_mass_function(frame: Frame, rng: np.random.Generator, max_focals: int = 4):

@@ -167,7 +167,7 @@ class TestCriterion9PropertySuites:
             at_least, theta = at_least_distribution(supports)
             assert theta + at_least.sum() == pytest.approx(1.0, abs=1e-9)
             prior = PriorSpec(p=float(rng.uniform(0.1, 0.95)))
-            posterior, _ = posterior_counts(at_least, theta, prior)
+            posterior, _ = posterior_counts(at_least, theta, prior.masses(r_max))
             assert posterior.sum() == pytest.approx(1.0, abs=1e-9)
             gd = gradual_determination(posterior, float(rng.uniform(0.0, 1.0)))
             assert gd.sum() == pytest.approx(1.0, abs=1e-9)

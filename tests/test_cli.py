@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +193,23 @@ def test_error_is_machine_readable(capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
     assert "p" in err["message"]
+
+
+def test_closed_stdout_ends_quietly():
+    # The reader closes the pipe before the result is printed, as
+    # `mcfnet run | head -2` does when head has read its lines.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mcfnet.cli", "run", "--max-iter", "5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_gen_and_run_with_one_seed_solve_one_problem(tmp_path, capsys):

@@ -22,7 +22,7 @@ from mcfnet.evidence import FocalSet, Frame, SimpleSupport, commonality_table
 from mcfnet.harness import RunConfig, run
 from mcfnet.network import U0, NetworkState, init_state, output_voltage
 from mcfnet.problems import ProblemSpec, generate
-from tests.conftest import brute_force_at_least
+from tests.conftest import array_at_least, brute_force_at_least, voltage_grids
 
 
 def ssf(frame: Frame, elements, mass: float) -> SimpleSupport:
@@ -74,25 +74,6 @@ class TestClusterExistence:
         f = Frame(2)
         with pytest.raises(ValueError):
             cluster_existence([ssf(f, [1], 0.5)], [0.5, 0.5])
-
-
-MASSES = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
-VOLTAGES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-
-
-@st.composite
-def voltage_grids(draw, max_frame=8, max_evidence=8):
-    """Evidence with repeated and whole-frame focal sets, and a voltage grid."""
-    frame = Frame(draw(st.integers(1, max_frame)))
-    focal = st.one_of(st.just(frame.full_mask), st.integers(1, frame.full_mask))
-    pool = draw(st.lists(focal, min_size=1, max_size=4))
-    bits = draw(st.lists(st.one_of(focal, st.sampled_from(pool)),
-                         min_size=1, max_size=max_evidence))
-    evidence = [SimpleSupport(FocalSet(b, frame), draw(MASSES), id=j)
-                for j, b in enumerate(bits)]
-    cols = draw(st.integers(1, 3))
-    v = np.array([[draw(VOLTAGES) for _ in range(cols)] for _ in evidence])
-    return evidence, v
 
 
 def assert_columns_match_reference(evidence, v):
@@ -183,6 +164,15 @@ class TestAtLeastDistribution:
         assert np.allclose(at_least, oracle_al, atol=1e-12)
         assert theta == pytest.approx(oracle_theta, abs=1e-12)
 
+    @given(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                    max_size=12))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_array_convolution(self, supports):
+        at_least, theta = at_least_distribution(supports)
+        oracle_al, oracle_theta = array_at_least(supports)
+        assert at_least.tolist() == oracle_al.tolist()
+        assert theta == oracle_theta
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=200, deadline=None)
     def test_total_mass_one(self, seed):
@@ -195,7 +185,7 @@ class TestAtLeastDistribution:
 class TestPosteriorCounts:
     def test_vacuous_evidence_returns_prior(self):
         prior = PriorSpec(p=0.9)
-        posterior, c0 = posterior_counts(np.zeros(6), 1.0, prior)
+        posterior, c0 = posterior_counts(np.zeros(6), 1.0, prior.masses(6))
         assert np.allclose(posterior, prior.masses(6), atol=1e-12)
         assert c0 == 0.0
 
@@ -203,16 +193,20 @@ class TestPosteriorCounts:
         prior = PriorSpec(p=0.9)
         at_least = np.zeros(4)
         at_least[3] = 1.0
-        posterior, c0 = posterior_counts(at_least, 0.0, prior)
+        posterior, c0 = posterior_counts(at_least, 0.0, prior.masses(4))
         assert posterior[3] == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(posterior[:3], 0.0, atol=1e-12)
         assert c0 == pytest.approx(1.0 - prior.masses(4)[3], abs=1e-12)
+
+    def test_prior_must_cover_every_count(self):
+        with pytest.raises(ValueError, match="one prior mass per count"):
+            posterior_counts(np.zeros(6), 1.0, PriorSpec().masses(5))
 
     def test_at_least_one_is_uninformative(self):
         prior = PriorSpec(p=0.7)
         at_least = np.zeros(5)
         at_least[0] = 1.0
-        posterior, c0 = posterior_counts(at_least, 0.0, prior)
+        posterior, c0 = posterior_counts(at_least, 0.0, prior.masses(5))
         assert np.allclose(posterior, prior.masses(5), atol=1e-12)
         assert c0 == 0.0
 
@@ -223,10 +217,9 @@ class TestPosteriorCounts:
         r_max = int(rng.integers(1, 9))
         supports = rng.uniform(0.0, 0.99, size=r_max)
         at_least, theta = at_least_distribution(supports)
-        prior = PriorSpec(p=float(rng.uniform(0.1, 0.95)))
-        posterior, c0 = posterior_counts(at_least, theta, prior)
+        m = PriorSpec(p=float(rng.uniform(0.1, 0.95))).masses(r_max)
+        posterior, c0 = posterior_counts(at_least, theta, m)
         assert posterior.sum() == pytest.approx(1.0, abs=1e-9)
-        m = prior.masses(r_max)
         oracle_c0 = sum(
             m[r] * at_least[j] for r in range(r_max) for j in range(r + 1, r_max)
         )
@@ -270,8 +263,8 @@ def problem():
 class TestComputeCountState:
     def test_fresh_init_posterior_positive(self, problem):
         state = init_state(31, 6, np.random.default_rng(0))
-        cs = compute_count_state(problem, state, PriorSpec(), 1.0,
-                                 commonality_table(problem))
+        cs = compute_count_state(commonality_table(problem), state,
+                                 PriorSpec().masses(6), 1.0)
         assert isinstance(cs, CountState)
         assert np.all(cs.posterior > 0.0)
         assert np.array_equal(cs.gd, cs.posterior)  # alpha = 1 identity
@@ -282,27 +275,29 @@ class TestComputeCountState:
             u[m, m % 5] = 10 * U0  # column 6 stays dark
         state = NetworkState(u=u, v=output_voltage(u), t=50,
                              entropy0=1.0)
-        cs = compute_count_state(problem, state, PriorSpec(), 0.0,
-                                 commonality_table(problem))
+        cs = compute_count_state(commonality_table(problem), state,
+                                 PriorSpec().masses(6), 0.0)
         assert cs.supports[5] < 1e-3
         assert np.all(cs.supports[:5] > 0.5)
 
     def test_dimension_validation(self, problem):
         state = init_state(31, 6, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            compute_count_state(problem[:30], state, PriorSpec(), 1.0,
-                                commonality_table(problem[:30]))
+            compute_count_state(commonality_table(problem[:30]), state,
+                                PriorSpec().masses(6), 1.0)
 
     def test_run_passes_one_table_to_every_call(self, monkeypatch):
-        tables = []
+        calls = []
         original = harness.compute_count_state
 
-        def recording(evidence, state, prior, alpha, table):
-            tables.append(table)
-            return original(evidence, state, prior, alpha, table)
+        def recording(table, state, prior_masses, alpha):
+            calls.append((table, prior_masses))
+            return original(table, state, prior_masses, alpha)
 
         monkeypatch.setattr(harness, "compute_count_state", recording)
         result = run(RunConfig(max_iterations=5), seed=0)
-        assert len(tables) == result.iterations + 1
-        assert tables[0] is not None
-        assert all(t is tables[0] for t in tables)
+        assert len(calls) == result.iterations + 1
+        table, prior_masses = calls[0]
+        assert table is not None
+        assert np.array_equal(prior_masses, PriorSpec().masses(6))
+        assert all(t is table and m is prior_masses for t, m in calls)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from mcfnet.evidence import (
     discount_by_voltage,
     pairwise_conflict,
 )
-from tests.conftest import brute_force_combine, random_mass_function, random_ssf
+from tests.conftest import (
+    brute_force_combine,
+    product_combine_discounted,
+    random_mass_function,
+    random_ssf,
+    voltage_grids,
+)
 
 
 def ssf(frame: Frame, elements, mass: float) -> SimpleSupport:
@@ -314,6 +321,50 @@ class TestCommonalityTable:
             commonality_table([])
         with pytest.raises(FrameMismatchError):
             commonality_table([ssf(Frame(2), [1], 0.5), ssf(Frame(3), [1], 0.5)])
+
+
+def assert_matches_product_form(table, v):
+    one_minus_k, q_theta = table.combine_discounted(v)
+    oracle_one_minus_k, oracle_q_theta = product_combine_discounted(table, v)
+    assert np.all(np.abs(one_minus_k - oracle_one_minus_k) <= 1e-12)
+    assert np.all(np.abs(q_theta - oracle_q_theta) <= 1e-12)
+
+
+class TestCombineDiscounted:
+    @given(voltage_grids(max_frame=16))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_product_form(self, case):
+        evidence, v = case
+        assert_matches_product_form(commonality_table(evidence), v)
+
+    @pytest.mark.parametrize("size", range(1, 17))
+    def test_matches_product_form_on_each_frame_size(self, size):
+        rng = np.random.default_rng(size)
+        frame = Frame(size)
+        bits = [frame.full_mask, *rng.integers(1, frame.full_mask + 1, size=11).tolist()]
+        masses = rng.uniform(0.05, 1.0, size=len(bits))
+        masses[rng.random(len(bits)) < 0.25] = 1.0
+        evidence = [SimpleSupport(FocalSet(int(b), frame), float(m))
+                    for b, m in zip(bits, masses)]
+        v = rng.uniform(0.0, 1.0, size=(len(evidence), 6))
+        v[rng.random(v.shape) < 0.2] = 1.0
+        v[rng.random(v.shape) < 0.2] = 0.0
+        assert_matches_product_form(commonality_table(evidence), v)
+
+    def test_zero_factor_is_exact_and_silent(self):
+        # Mass 1 at voltage 1 makes a factor 1 - s of exactly 0, whose log
+        # is -inf; the kernel must not take that log.
+        f = Frame(2)
+        table = commonality_table([ssf(f, [1], 1.0), ssf(f, [2], 0.5), ssf(f, [1, 2], 1.0)])
+        v = np.array([[1.0, 0.5, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            one_minus_k, q_theta = table.combine_discounted(v)
+        # Columns 0 and 2 keep {1} at mass 1, so the frame keeps nothing.
+        assert q_theta[0] == q_theta[2] == 0.0
+        assert q_theta[1] == pytest.approx(0.25, abs=1e-15)
+        assert one_minus_k == pytest.approx([0.5, 0.75, 1.0], abs=1e-15)
+        assert_matches_product_form(table, v)
 
 
 class TestDiscountByVoltage:

@@ -283,6 +283,32 @@ class TestTrace:
             first = next(reader)
         assert float(first["alpha"]) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("config", [
+        RunConfig(max_iterations=60),
+        RunConfig(problem=ProblemSpec(mass_mode="ones"), max_iterations=60),
+        RunConfig(mode="fixed-k", fixed_k=5, max_iterations=60),
+        RunConfig(mode="fixed-k", fixed_k=5, max_iterations=60, refine=False),
+    ], ids=["unknown-k", "unknown-k-mass-one", "fixed-k", "fixed-k-no-table"])
+    def test_rows_score_as_evaluate_partition(self, config, tmp_path, monkeypatch):
+        # Rows are scored on the run's commonality table when it has one.
+        partitions = []
+        original = harness.extract_partition
+
+        def recording(state):
+            partitions.append(original(state))
+            return partitions[-1]
+
+        monkeypatch.setattr(harness, "extract_partition", recording)
+        seed = 2
+        result = run(replace(config, trace_dir=tmp_path), seed)
+        evidence = generate(config.problem, seed_streams(seed)[0])
+        assert len(result.trace_rows) == result.iterations + 1
+        for row, partition in zip(result.trace_rows, partitions):
+            report = evaluate_partition(evidence, partition)
+            assert abs(row["mcf"] - report.mcf) <= 1e-12
+            for i, c in enumerate(report.cluster_conflicts, start=1):
+                assert abs(row[f"c_{i}"] - c) <= 1e-12
+
     def test_snapshot_grid_shape(self, unknown_result):
         grid_path = next(
             p for p in unknown_result.trace_files if p.name.startswith("grid_")
